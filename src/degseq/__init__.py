@@ -55,6 +55,7 @@ from .realizability import (
     Verdict,
     apply_inverse_transfer,
     erdos_gallai,
+    erdos_gallai_violation,
     generalized_reduce,
     havel_hakimi,
     havel_hakimi_trace,

@@ -230,10 +230,6 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _frac(f) -> str:
-    return str(f)
-
-
 def _cmd_lorenz(args) -> int:
     seq = _parse_seq(args, args.sequence)
     if args.nonnormalized:
@@ -264,7 +260,7 @@ def _cmd_lorenz(args) -> int:
         _emit(curve.to_csv())
     else:
         for fx, fy in curve.points:
-            _emit(f"({_frac(fx)}, {_frac(fy)})")
+            _emit(f"({fx}, {fy})")
     return EXIT_OK
 
 

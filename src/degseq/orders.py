@@ -14,7 +14,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     IndexOutOfRangeError,
@@ -40,6 +40,8 @@ class DegreeSequence(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int]) -> "DegreeSequence":
+        if type(values) is cls:
+            return values
         vals = sorted((int(v) for v in values), reverse=True)
         if not vals:
             raise ValueError("a degree sequence must have at least one entry")
@@ -369,9 +371,3 @@ def convex_sum(x: DegreeSequence, phi: str) -> int:
     raise UnknownFunctionError(
         f"unknown convex function {phi!r}; expected one of {CONVEX_FUNCTION_NAMES}"
     )
-
-
-def iter_hinges(x: DegreeSequence) -> Iterator[str]:
-    """Hinge identifiers covering the value range of x (for property sweeps)."""
-    for c in range(0, max(x) + 1):
-        yield f"hinge({c})"

@@ -181,19 +181,43 @@ class Verdict:
 # -- graphicality tests --------------------------------------------------
 
 
-def erdos_gallai(x: DegreeSequence) -> bool:
-    """Even total plus the N prefix inequalities, all in exact integers."""
+def erdos_gallai_violation(x: DegreeSequence) -> Optional[tuple[int, int, int]]:
+    """First violated Erdős–Gallai inequality as (k, lhs, rhs), or None.
+
+    The k-th inequality reads lhs = x_1 + ... + x_k <= rhs = k(k-1) +
+    sum over j > k of min(x_j, k); the smallest failing k is returned.
+    Parity is not checked here. One pass over k in exact integers, O(N)
+    after sorting (Tripathi & Vijay 2003): q counts the entries >= k and
+    only moves left as k grows, so while q > k the tail sum is k(q-k) plus
+    the running sum of x[q:], and from then on it is the plain remainder.
+    """
     x = DegreeSequence(x)
     n = len(x)
-    if sum(x) % 2:
-        return False
+    total = sum(x)
+    q = n
+    low = 0  # sum(x[q:])
     prefix = 0
     for k in range(1, n + 1):
         prefix += x[k - 1]
-        tail = sum(min(v, k) for v in x[k:])
-        if prefix > k * (k - 1) + tail:
-            return False
-    return True
+        while q and x[q - 1] < k:
+            q -= 1
+            low += x[q]
+        if q > k:
+            rhs = k * (k - 1) + k * (q - k) + low
+        else:
+            rhs = k * (k - 1) + total - prefix
+        if prefix > rhs:
+            return k, prefix, rhs
+    return None
+
+
+def erdos_gallai(x: DegreeSequence) -> bool:
+    """Even total and no violated prefix inequality; O(N) after sorting.
+
+    erdos_gallai_violation gives the first violated inequality itself.
+    """
+    x = DegreeSequence(x)
+    return sum(x) % 2 == 0 and erdos_gallai_violation(x) is None
 
 
 def hh_reduce(x: DegreeSequence) -> DegreeSequence:

@@ -98,6 +98,12 @@ class TestMaximalElements:
             for s in report.all_sequences:
                 assert any(majorized(s, m) for m in report.maximal)
 
+    def test_filter_runs_once_per_key(self):
+        first = maximal_elements(6, 4, "partitions")
+        again = maximal_elements(6, 4, "partitions", max_n=6)
+        assert again.maximal is first.maximal
+        assert maximal_elements(6, 4, "graphs").maximal == first.maximal
+
     def test_report_round_trip(self):
         report = maximal_elements(5, 2)
         assert MaximalSetReport.from_dict(report.to_dict()) == report

@@ -60,6 +60,11 @@ class TestDegreeSequenceType:
     def test_sorts_on_construction(self):
         assert tuple(D((1, 3, 2))) == (3, 2, 1)
 
+    def test_canonical_input_is_returned_as_is(self):
+        x = D((1, 3, 2))
+        assert D(x) is x
+        assert D(tuple(x)) is not x and D(tuple(x)) == x
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             D(())

@@ -1,5 +1,6 @@
 import itertools
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -16,11 +17,12 @@ from degseq.errors import (
     UnderflowError,
 )
 from degseq.graphs import SimpleGraph, degree_sequence, is_connected
-from degseq.orders import DegreeSequence
+from degseq.orders import DegreeSequence, min_tail_sum
 from degseq.realizability import (
     Verdict,
     apply_inverse_transfer,
     erdos_gallai,
+    erdos_gallai_violation,
     generalized_reduce,
     havel_hakimi,
     havel_hakimi_trace,
@@ -60,6 +62,91 @@ class TestErdosGallai:
     )
     def test_known_cases(self, seq, expected):
         assert erdos_gallai(D(seq)) is expected
+
+
+def violation_reference(x):
+    """Quadratic Erdős–Gallai scan, straight from the definition."""
+    prefix = 0
+    for k in range(1, len(x) + 1):
+        prefix += x[k - 1]
+        rhs = k * (k - 1) + min_tail_sum(x, k)
+        if prefix > rhs:
+            return k, prefix, rhs
+    return None
+
+
+@st.composite
+def eg_sequences(draw, max_n=300):
+    """Uniform sequences, or threshold-graph degrees moved by a few units.
+
+    A threshold graph's degrees meet the inequalities with equality up to
+    the Durfee index, so one unit moved up breaks them at a k near the
+    receiving rank, while a unit moved down keeps the sequence graphical.
+    """
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        hi = draw(st.integers(0, n))
+        return D(draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)))
+    dominating = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    deg = [0] * n
+    later = 0
+    for v in range(n - 1, -1, -1):
+        deg[v] = (v if dominating[v] else 0) + later
+        later += dominating[v]
+    for _ in range(draw(st.integers(0, 3))):
+        deg.sort(reverse=True)
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        if draw(st.booleans()):
+            i, j = j, i
+        if deg[j] > 0:
+            deg[i] += 1
+            deg[j] -= 1
+    return D(deg)
+
+
+class TestErdosGallaiViolation:
+    def test_exhaustive_against_definition(self):
+        for n in range(1, 9):
+            for x in all_nonincreasing(n, n):
+                found = erdos_gallai_violation(x)
+                assert found == violation_reference(x), x
+                stop = n if found is None else found[0] - 1
+                prefix = 0
+                for k in range(1, stop + 1):
+                    prefix += x[k - 1]
+                    assert prefix <= k * (k - 1) + min_tail_sum(x, k), (x, k)
+                assert erdos_gallai(x) is (sum(x) % 2 == 0 and found is None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(eg_sequences())
+    def test_matches_definition_up_to_300(self, x):
+        assert erdos_gallai_violation(x) == violation_reference(x)
+
+    def test_known_violations(self):
+        assert erdos_gallai_violation(D((1, 1, 1))) is None  # odd total only
+        assert erdos_gallai_violation(D((4, 4, 4, 1, 1))) == (2, 8, 6)
+        assert erdos_gallai_violation(D((3, 3, 3, 1))) == (2, 6, 5)
+        assert erdos_gallai_violation(D((3, 1, 1))) == (1, 3, 2)
+        assert erdos_gallai_violation(D((0,))) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(eg_sequences(max_n=60))
+    def test_against_networkx(self, x):
+        nx = pytest.importorskip("networkx")
+        assert erdos_gallai(x) is nx.is_valid_degree_sequence_erdos_gallai(list(x))
+
+    def test_n_100000(self):
+        n = 100_000
+        regular = D([4] * n)
+        assert erdos_gallai_violation(regular) is None
+        pushed = D([5] + [4] * (n - 2) + [3])
+        assert erdos_gallai_violation(pushed) is None
+        assert erdos_gallai(pushed)
+        # K_{m+1} less one unit, padded with isolated vertices: every k < m
+        # holds with equality, and k = m fails by one.
+        m = 1000
+        x = D([m] * m + [m - 1] + [0] * (n - m - 1))
+        assert erdos_gallai_violation(x) == (m, m * m, m * m - 1)
 
 
 class TestHeadReduction:
