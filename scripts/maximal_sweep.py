@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from degseq.constructions import clique_fill_sequence, hub_fill_sequence, max_added_edges
-from degseq.maximal import maximal_elements
+from degseq.maximal import ORACLES, maximal_elements
 from degseq.orders import format_sequence
 
 
@@ -27,7 +27,7 @@ def main() -> int:
     parser.add_argument("--min-n", type=int, default=4)
     parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--max-d", type=int, default=None, help="cap d per n (default: all)")
-    parser.add_argument("--oracle", choices=("graphs", "partitions", "both"), default="both")
+    parser.add_argument("--oracle", choices=ORACLES, default="both")
     args = parser.parse_args()
 
     t0 = time.perf_counter()

@@ -187,18 +187,9 @@ def _cmd_maximal(args) -> int:
     if args.json:
         _emit(json.dumps(report.to_dict(), sort_keys=True))
         return EXIT_OK
-    _note(
-        args,
-        f"n={report.n} d={report.d} image={len(report.all_sequences)} "
-        f"maximal={len(report.maximal)} "
-        f"oracle_agreement={'yes' if report.oracle_agreement else 'unchecked'}",
-    )
-    for s in report.sorted_maximal():
-        _emit(format_sequence(s))
-    if args.full:
-        _emit("# full image")
-        for s in report.sorted_all():
-            _emit(format_sequence(s))
+    head, body = report.format_text(full=args.full).split("\n", 1)
+    _note(args, head)
+    sys.stdout.write(body)
     return EXIT_OK
 
 

@@ -18,9 +18,10 @@ incomplete star: a star on n+d vertices padded with isolated vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 from .errors import OutOfRangeError
-from .graphs import SimpleGraph, add_edge
+from .graphs import SimpleGraph
 from .orders import DegreeSequence
 
 
@@ -85,17 +86,8 @@ def hub_fill_sequence(n: int, d: int) -> DegreeSequence:
 def build_hub_fill(n: int, d: int) -> SimpleGraph:
     """Star plus d edges: vertex 1 links to leaves 2.., then vertex 2, ..."""
     _check_range(n, d)
-    g = SimpleGraph.from_edges(n, [(0, v) for v in range(1, n)])
-    remaining = d
-    hub = 1
-    while remaining > 0:
-        for target in range(hub + 1, n):
-            if remaining == 0:
-                break
-            g = add_edge(g, hub, target)
-            remaining -= 1
-        hub += 1
-    return g
+    star = [(0, v) for v in range(1, n)]
+    return SimpleGraph.from_edges(n, star + list(islice(combinations(range(1, n), 2), d)))
 
 
 def _clique_split(n: int, d: int) -> tuple[int, int]:
@@ -126,14 +118,10 @@ def clique_fill_sequence(n: int, d: int) -> DegreeSequence:
 
 def build_clique_fill(n: int, d: int) -> SimpleGraph:
     _check_range(n, d)
-    g = SimpleGraph.from_edges(n, [(0, v) for v in range(1, n)])
     m, r = _clique_split(n, d)
-    for v in range(1, m + 1):
-        for w in range(v + 1, m + 1):
-            g = add_edge(g, v, w)
-    for w in range(1, r + 1):
-        g = add_edge(g, m + 1, w)
-    return g
+    star = [(0, v) for v in range(1, n)]
+    clique = list(combinations(range(1, m + 1), 2))
+    return SimpleGraph.from_edges(n, star + clique + [(m + 1, w) for w in range(1, r + 1)])
 
 
 def incomplete_star(n: int, d: int) -> tuple[DegreeSequence, SimpleGraph]:

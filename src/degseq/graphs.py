@@ -85,21 +85,8 @@ def degree_sequence(g: SimpleGraph) -> DegreeSequence:
 
 
 def is_connected(g: SimpleGraph) -> bool:
-    """BFS reachability from vertex 0; a single vertex counts as connected."""
-    if g.n == 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.n
+    """One component; a single vertex counts as connected."""
+    return max(component_labels(g)) == 0
 
 
 def component_labels(g: SimpleGraph) -> list[int]:

@@ -212,33 +212,25 @@ def maximal_elements(
         n=n,
         d=d,
         all_sequences=seqs,
-        maximal=_maximal_subset(n, d, oracle, seqs),
+        maximal=_maximal_subset(seqs),
         oracle_agreement=(oracle == "both"),
     )
 
 
-_MAXIMAL_SUBSETS: dict[tuple[int, int, str], frozenset[DegreeSequence]] = {}
+@lru_cache(maxsize=None)
+def _maximal_subset(seqs: frozenset[DegreeSequence]) -> frozenset[DegreeSequence]:
+    """The O(|seqs|^2) maximal-element filter, once per enumerated image.
 
-
-def _maximal_subset(
-    n: int, d: int, oracle: str, seqs: frozenset[DegreeSequence]
-) -> frozenset[DegreeSequence]:
-    """The O(|seqs|^2) maximal-element filter, once per (n, d, oracle).
-
-    seqs is that key's cached enumeration, so the result is cached with it.
+    seqs is an oracle's cached enumeration; "graphs" and "both" return the
+    same object, so one run serves both.
     """
-    key = (n, d, oracle)
-    if key not in _MAXIMAL_SUBSETS:
-        maximal = frozenset(
-            s for s in seqs if not any(majorized(s, t) and s != t for t in seqs)
-        )
-        for s in seqs:
-            if not any(majorized(s, m) for m in maximal):
-                raise InternalInconsistencyError(
-                    f"{format_sequence(s)} not dominated by any maximal element"
-                )
-        _MAXIMAL_SUBSETS[key] = maximal
-    return _MAXIMAL_SUBSETS[key]
+    maximal = frozenset(s for s in seqs if not any(majorized(s, t) and s != t for t in seqs))
+    for s in seqs:
+        if not any(majorized(s, m) for m in maximal):
+            raise InternalInconsistencyError(
+                f"{format_sequence(s)} not dominated by any maximal element"
+            )
+    return maximal
 
 
 def is_c_graphical_poset(x: DegreeSequence, oracle: str = "both") -> bool:

@@ -49,10 +49,6 @@ class DegreeSequence(tuple):
             raise ValueError("degree sequence entries must be non-negative")
         return super().__new__(cls, vals)
 
-    @property
-    def total(self) -> int:
-        return sum(self)
-
     def prefix_sums(self) -> tuple[int, ...]:
         """Running totals (s_1, s_1+s_2, ...), length N."""
         out = []

@@ -434,12 +434,13 @@ def realize_connected(x: DegreeSequence) -> SimpleGraph:
     if not is_c_graphical(x):
         raise NotCGraphicalError(f"{format_sequence(x)} is not c-graphical")
     g = realize(x)
-    while not is_connected(g):
+    labels = component_labels(g)
+    while max(labels) > 0:
         cyc = _first_cycle_edge(g)
-        labels = component_labels(g)
         cid = labels[cyc[0]]
         cross = next(e for e in g.sorted_edges() if labels[e[0]] != cid)
         g = two_swap(g, cyc, cross)
+        labels = component_labels(g)
     return g
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from degseq.cli import main
-from degseq.maximal import MaximalSetReport
+from degseq.maximal import MaximalSetReport, maximal_elements
 from degseq.orders import DegreeSequence
 from degseq.realizability import Verdict, erdos_gallai
 
@@ -164,6 +164,12 @@ class TestMaximal:
         assert code == 0
         assert "# full image" in out
         assert "2,2,2,1,1" in out
+
+    def test_text_matches_report(self, capsys):
+        code, out, err = run(capsys, "maximal", "5", "3", "--full")
+        assert code == 0
+        head, body = maximal_elements(5, 3).format_text(full=True).split("\n", 1)
+        assert (out, err) == (body, head + "\n")
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "maximal", "5", "3", "--json")

@@ -95,6 +95,31 @@ class TestBuildHubFill:
                 assert is_connected(g)
 
 
+def _star(n):
+    return {(0, v) for v in range(1, n)}
+
+
+class TestConstructionEdges:
+    """The exact edge sets that `construct --emit graph` prints."""
+
+    def test_hub_fill_five_four(self):
+        assert build_hub_fill(5, 4).edges == _star(5) | {(1, 2), (1, 3), (1, 4), (2, 3)}
+
+    def test_clique_fill_seven_four(self):
+        assert build_clique_fill(7, 4).edges == _star(7) | {(1, 2), (1, 3), (2, 3), (1, 4)}
+
+    @pytest.mark.parametrize("build", [build_hub_fill, build_clique_fill])
+    def test_zero_is_star(self, build):
+        for n in range(2, 10):
+            assert build(n, 0).edges == _star(n), n
+
+    @pytest.mark.parametrize("build", [build_hub_fill, build_clique_fill])
+    def test_top_is_complete(self, build):
+        for n in range(2, 10):
+            complete = {(u, v) for u in range(n) for v in range(u + 1, n)}
+            assert build(n, max_added_edges(n)).edges == complete, n
+
+
 class TestCliqueFillSequence:
     @pytest.mark.parametrize(
         "n,d,tail",
