@@ -42,6 +42,10 @@ def _note(args, message: str) -> None:
 
 
 def _parse_seq(args, literal: str) -> DegreeSequence:
+    # "-" reads the literal from stdin, for sequences past the argv size cap;
+    # a second "-" in one command finds stdin drained and is a usage error
+    if literal == "-":
+        literal = sys.stdin.read()
     seq, already_sorted = parse_sequence(literal)
     if not already_sorted:
         _note(args, f"note: input reordered to {format_sequence(seq)}")
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common], help="test a sequence for graphicality")
-    p.add_argument("sequence", help='comma-separated degrees, e.g. "5,4,4,3,3,3"')
+    p.add_argument("sequence", help='comma-separated degrees, e.g. "5,4,4,3,3,3"; - reads stdin')
     p.add_argument("--connected", action="store_true", help="also test c-graphicality")
     p.add_argument(
         "--method",

@@ -1,4 +1,9 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +240,34 @@ class TestLorenz:
     def test_zero_sum_usage_error(self, capsys):
         code, _, _ = run(capsys, "lorenz", "0,0")
         assert code == 2
+
+
+class TestStdin:
+    def test_check_reads_dash_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("5,4,4,3,3,3\n"))
+        code, out, _ = run(capsys, "check", "-", "--json")
+        assert code == 0
+        assert json.loads(out)["sequence"] == [5, 4, 4, 3, 3, 3]
+
+    def test_sequence_past_the_argument_cap(self):
+        # 200 KB, over Linux's 128 KiB limit on one argument, so it can only be piped
+        literal = ",".join(["4"] * 100_000)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "degseq", "check", "-", "--method", "eg", "--quiet"],
+            input=literal,
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "graphical: yes" in proc.stdout
+
+    def test_second_dash_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3,2,1"))
+        code, _, err = run(capsys, "compare", "-", "-")
+        assert code == 2
+        assert "cannot parse" in err
 
 
 class TestVerdictConsistency:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -75,6 +76,38 @@ class TestEnumeration:
         monkeypatch.setattr(mx, "_sequences_by_partitions", broken)
         with pytest.raises(OracleMismatchError):
             enumerate_connected_sequences(4, 1, oracle="both")
+
+
+class TestGraphsOracleAgainstAtlas:
+    def test_matches_networkx_atlas(self):
+        # the atlas lists every graph on up to 7 nodes, one per isomorphism class
+        nx = pytest.importorskip("networkx")
+        expected = collections.defaultdict(set)
+        for g in nx.graph_atlas_g():
+            n = g.number_of_nodes()
+            if n >= 2 and nx.is_connected(g):
+                expected[n, g.number_of_edges() - (n - 1)].add(D(k for _, k in g.degree()))
+        for n in range(2, 8):
+            for d in range(0, max_added_edges(n) + 1):
+                assert mx._sequences_by_graphs(n, d) == frozenset(expected[n, d]), (n, d)
+
+
+def _pairwise_maximal(seqs):
+    return frozenset(s for s in seqs if not any(majorized(s, t) and s != t for t in seqs))
+
+
+class TestMaximalFilter:
+    def test_graphs_images_match_pairwise_definition(self):
+        for n in range(2, 8):
+            for d in range(0, max_added_edges(n) + 1):
+                seqs = mx._sequences_by_graphs(n, d)
+                assert mx._maximal_subset(seqs) == _pairwise_maximal(seqs), (n, d)
+
+    def test_partitions_images_match_pairwise_definition(self):
+        for n in range(2, 11):
+            for d in range(0, max_added_edges(n) + 1):
+                seqs = mx._sequences_by_partitions(n, d)
+                assert mx._maximal_subset(seqs) == _pairwise_maximal(seqs), (n, d)
 
 
 class TestMaximalElements:
