@@ -4,10 +4,16 @@ Vertices are dense integers 0..n-1. Graph values never mutate: every edit
 returns a new graph, which keeps rewiring chains auditable step by step.
 All traversals visit neighbors in ascending index order so outputs are
 reproducible.
+
+Algorithms that edit one graph many times (the realizations and the
+rewiring chains in `realizability`) instead work on a mutable adjacency,
+a list of ascending neighbor lists, with the package-internal helpers at
+the end of this module, and freeze it into a SimpleGraph once.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,11 +66,7 @@ class SimpleGraph:
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, _adjacency_lists(self.n, self.edges)))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
@@ -91,21 +93,7 @@ def is_connected(g: SimpleGraph) -> bool:
 
 def component_labels(g: SimpleGraph) -> list[int]:
     """Component id per vertex, ids assigned in ascending first-vertex order."""
-    label = [-1] * g.n
-    cid = 0
-    for s in range(g.n):
-        if label[s] != -1:
-            continue
-        label[s] = cid
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if label[w] == -1:
-                    label[w] = cid
-                    queue.append(w)
-        cid += 1
-    return label
+    return _labels(g._adjacency)
 
 
 def find_path(g: SimpleGraph, i: int, j: int) -> VertexPath:
@@ -115,24 +103,7 @@ def find_path(g: SimpleGraph, i: int, j: int) -> VertexPath:
     on a shortest path no two non-consecutive vertices are adjacent, which
     is what makes the rewiring pivot always exist.
     """
-    if i == j:
-        raise ValueError("path endpoints must differ")
-    parent = {i: i}
-    queue = deque([i])
-    while queue:
-        u = queue.popleft()
-        if u == j:
-            break
-        for w in g.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if j not in parent:
-        raise NoPathError(f"vertices {i} and {j} are in different components")
-    path = [j]
-    while path[-1] != i:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+    return _path(g._adjacency, i, j)
 
 
 def add_edge(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
@@ -169,6 +140,130 @@ def two_swap(g: SimpleGraph, e1: tuple[int, int], e2: tuple[int, int]) -> Simple
         if e in g.edges:
             raise SwapBlockedError(f"replacement edge {e} already present")
     return SimpleGraph(g.n, (g.edges - {(a, b), (c, d)}) | {_norm(a, c), _norm(b, d)})
+
+
+# -- mutable adjacency (package-internal) ------------------------------------
+#
+# adj[v] is the ascending list of v's neighbors. Edits keep every list
+# sorted, so traversals see neighbors in ascending order, as on SimpleGraph.
+
+Adjacency = list[list[int]]
+
+
+def _adjacency_lists(n: int, edges: Iterable[Edge]) -> Adjacency:
+    adj: Adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj:
+        nbrs.sort()
+    return adj
+
+
+def _thaw(g: SimpleGraph) -> Adjacency:
+    return [list(nbrs) for nbrs in g._adjacency]
+
+
+def _freeze(adj: Adjacency) -> SimpleGraph:
+    edges = frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+    return SimpleGraph(len(adj), edges)
+
+
+def _link(adj: Adjacency, u: int, v: int) -> None:
+    insort(adj[u], v)
+    insort(adj[v], u)
+
+
+def _unlink(adj: Adjacency, u: int, v: int) -> None:
+    adj[u].remove(v)
+    adj[v].remove(u)
+
+
+def _labels(adj) -> list[int]:
+    """Component id per vertex, ids assigned in ascending first-vertex order."""
+    label = [-1] * len(adj)
+    cid = 0
+    for s in range(len(adj)):
+        if label[s] != -1:
+            continue
+        label[s] = cid
+        queue = deque([s])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if label[w] == -1:
+                    label[w] = cid
+                    queue.append(w)
+        cid += 1
+    return label
+
+
+def _connected(adj) -> bool:
+    return max(_labels(adj)) == 0
+
+
+def _path(adj, i: int, j: int) -> VertexPath:
+    """Shortest i-j path; BFS in ascending neighbor order, first parent wins."""
+    if i == j:
+        raise ValueError("path endpoints must differ")
+    parent = {i: i}
+    queue = deque([i])
+    while queue and j not in parent:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    if j not in parent:
+        raise NoPathError(f"vertices {i} and {j} are in different components")
+    path = [j]
+    while path[-1] != i:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def _bridges(adj: Adjacency) -> tuple[list[int], set[Edge]]:
+    """Component labels (as `_labels`) and the set of bridges, in one DFS.
+
+    Iterative Tarjan (Inf. Process. Lett. 2(6), 1974): the tree edge to
+    child w is a bridge iff no back edge from w's subtree reaches w's
+    parent or above, i.e. low[w] > disc[parent]. O(n + m).
+    """
+    n = len(adj)
+    label = [-1] * n
+    disc = [0] * n
+    low = [0] * n
+    bridges: set[Edge] = set()
+    clock = 0
+    cid = -1
+    for s in range(n):
+        if label[s] != -1:
+            continue
+        cid += 1
+        label[s] = cid
+        disc[s] = low[s] = clock
+        clock += 1
+        stack = [(s, -1, iter(adj[s]))]
+        while stack:
+            u, parent, it = stack[-1]
+            for w in it:
+                if w == parent:
+                    continue
+                if label[w] == -1:
+                    label[w] = cid
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, u, iter(adj[w])))
+                    break
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
+                stack.pop()
+                if parent != -1:
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] > disc[parent]:
+                        bridges.add(_norm(u, parent))
+    return label, bridges
 
 
 # -- text formats ------------------------------------------------------------

@@ -235,7 +235,12 @@ class BasicTransfer:
 
 
 def apply_basic_transfer(x: DegreeSequence, t: BasicTransfer) -> DegreeSequence:
-    """Apply one unit transfer, preserving sortedness and the total."""
+    """Apply one unit transfer, preserving sortedness and the total.
+
+    The checks below prove that the result is still non-increasing, so it
+    is built as a DegreeSequence without sorting again.
+    """
+    x = DegreeSequence(x)
     n = len(x)
     if t.from_rank > n:
         raise IndexOutOfRangeError(f"from_rank {t.from_rank} exceeds length {n}")
@@ -253,7 +258,7 @@ def apply_basic_transfer(x: DegreeSequence, t: BasicTransfer) -> DegreeSequence:
     vals = list(x)
     vals[i] += 1
     vals[j] -= 1
-    return DegreeSequence(vals)
+    return tuple.__new__(DegreeSequence, vals)
 
 
 @dataclass(frozen=True)
@@ -278,37 +283,41 @@ class TransferChain:
 def decompose_into_basic_transfers(x: DegreeSequence, y: DegreeSequence) -> TransferChain:
     """Write y as x plus a chain of unit transfers.
 
-    Requires equal totals and x <= y in the prefix-sum order. Each round
-    finds the first rank i whose running total still falls short of the
-    target, the first later rank j where the two running totals agree, and
-    moves one unit from j to i. Every intermediate stays sorted and sits
-    between x and y in the order, and the resulting chain has the minimum
-    possible number of unit transfers.
+    Requires equal totals and x <= y in the prefix-sum order; both inputs
+    are sorted first. A unit moved from rank j to rank i < j raises the
+    running totals at ranks i..j-1 by one, so the chain is a cover of the
+    deficit profile D(k) = prefix_y(k) - prefix_x(k) by intervals. One
+    sweep over D opens one interval per unit of ascent and closes the
+    latest open one per unit of descent; these are the level-set intervals
+    of D, a laminar family. The chain lists them in the order they open,
+    which is by start ascending, then by end descending: the order in
+    which repeatedly moving one unit from the first rank j > i with
+    D(j) = 0 to the first rank i with D(i) > 0 meets them. Every
+    intermediate stays sorted and sits between x and y in the order, and
+    the chain has the minimum possible number of unit transfers (the total
+    ascent of D). O(n + T) for T transfers.
     """
+    x, y = DegreeSequence(x), DegreeSequence(y)
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     if sum(x) != sum(y):
         raise SumMismatchError(f"totals differ: {sum(x)} vs {sum(y)}")
     if not majorized(x, y):
         raise NotMajorizedError(f"{format_sequence(x)} is not below {format_sequence(y)}")
-    n = len(x)
-    cur = list(x)
-    steps: list[BasicTransfer] = []
-    while True:
-        deficits = []
-        ax = ay = 0
-        for k in range(n):
-            ax += cur[k]
-            ay += y[k]
-            deficits.append(ay - ax)
-        i = next((k for k in range(n) if deficits[k] > 0), None)
-        if i is None:
-            break
-        j = next(k for k in range(i + 1, n) if deficits[k] == 0)
-        cur[i] += 1
-        cur[j] -= 1
-        steps.append(BasicTransfer(to_rank=i + 1, from_rank=j + 1))
-    return TransferChain(start=DegreeSequence(x), steps=tuple(steps))
+    to_ranks: list[int] = []
+    from_ranks: list[int] = []
+    open_steps: list[int] = []  # chain positions of the open intervals
+    prev = deficit = 0
+    for rank, (vx, vy) in enumerate(zip(x, y), start=1):
+        deficit += vy - vx
+        for _ in range(deficit - prev):
+            open_steps.append(len(to_ranks))
+            to_ranks.append(rank)
+            from_ranks.append(0)
+        for _ in range(prev - deficit):
+            from_ranks[open_steps.pop()] = rank
+        prev = deficit
+    return TransferChain(start=x, steps=tuple(map(BasicTransfer, to_ranks, from_ranks)))
 
 
 def minimum_transfer_count(x: DegreeSequence, y: DegreeSequence) -> int:
@@ -319,11 +328,12 @@ def minimum_transfer_count(x: DegreeSequence, y: DegreeSequence) -> int:
     of the deficit profile D(k) = prefix_y(k) - prefix_x(k). The minimum
     number of intervals is the total ascent sum(max(0, D(k) - D(k-1))).
     """
+    x, y = DegreeSequence(x), DegreeSequence(y)
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     if sum(x) != sum(y):
         raise SumMismatchError(f"totals differ: {sum(x)} vs {sum(y)}")
-    px, py = x.prefix_sums(), DegreeSequence(y).prefix_sums()
+    px, py = x.prefix_sums(), y.prefix_sums()
     deficits = [b - a for a, b in zip(px, py)]
     prev = 0
     count = 0

@@ -14,6 +14,7 @@ time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional, Union
 
 from .constructions import hub_fill_sequence, max_added_edges
@@ -23,21 +24,24 @@ from .errors import (
     BadSumError,
     HeadTooLargeError,
     InternalInconsistencyError,
-    NoPathError,
     NotCGraphicalError,
     NotGraphicalError,
     PreconditionViolatedError,
     UnderflowError,
 )
 from .graphs import (
+    Adjacency,
+    Edge,
     SimpleGraph,
-    add_edge,
-    component_labels,
+    _adjacency_lists,
+    _bridges,
+    _connected,
+    _freeze,
+    _link,
+    _path,
+    _thaw,
+    _unlink,
     degree_sequence,
-    find_path,
-    is_connected,
-    remove_edge,
-    two_swap,
 )
 from .orders import (
     DegreeSequence,
@@ -385,92 +389,107 @@ def is_c_graphical(x: DegreeSequence) -> bool:
 # -- realization construction ------------------------------------------------
 
 
+def _greedy_edges(x: DegreeSequence) -> list[Edge]:
+    """Edges of the greedy realization of a graphical x; see realize.
+
+    Degree buckets: buckets[r] is a heap of the vertices with residual r.
+    The head is the smallest index in the top bucket, and its targets are
+    popped from the buckets downwards, smallest index first, which is the
+    (-residual, index) order. Targets go back one bucket lower only after
+    all of them are chosen. O((n + m) log n).
+    """
+    n = len(x)
+    top = x[0]
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for v in range(n):  # ascending lists are heaps
+        buckets[x[v]].append(v)
+    edges: list[Edge] = []
+    while True:
+        while top and not buckets[top]:
+            top -= 1
+        if top == 0:
+            return edges
+        u, d = heappop(buckets[top]), top
+        targets: list[tuple[int, int]] = []  # (vertex, its residual)
+        r = d
+        while len(targets) < d and r > 0:
+            bucket = buckets[r]
+            while bucket and len(targets) < d:
+                targets.append((heappop(bucket), r))
+            r -= 1
+        if len(targets) < d:
+            raise InternalInconsistencyError("greedy realization ran out of targets")
+        for v, r in targets:
+            edges.append((u, v) if u < v else (v, u))
+            if r > 1:
+                heappush(buckets[r - 1], v)
+
+
 def realize(x: DegreeSequence) -> SimpleGraph:
-    """Greedy head-first realization; vertex v gets the rank v+1 degree."""
+    """Greedy head-first realization; vertex v gets the rank v+1 degree.
+
+    The head is the smallest vertex among those of largest residual
+    degree; it is joined to the next largest residuals, smaller vertex
+    first, and leaves the pool. O((n + m) log n) with degree buckets.
+    """
     x = DegreeSequence(x)
     if not erdos_gallai(x):
         raise NotGraphicalError(f"{format_sequence(x)} is not graphical")
-    n = len(x)
-    residual = list(x)
-    edges: set[tuple[int, int]] = set()
-    while True:
-        order = sorted(range(n), key=lambda v: (-residual[v], v))
-        u = order[0]
-        d = residual[u]
-        if d == 0:
-            break
-        targets = [v for v in order[1:] if residual[v] > 0][:d]
-        if len(targets) < d:
-            raise InternalInconsistencyError("greedy realization ran out of targets")
-        for v in targets:
-            edges.add((u, v) if u < v else (v, u))
-            residual[v] -= 1
-        residual[u] = 0
-    return SimpleGraph(n, frozenset(edges))
+    return SimpleGraph(len(x), frozenset(_greedy_edges(x)))
 
 
-def _first_cycle_edge(g: SimpleGraph) -> tuple[int, int]:
+def _first_cycle_edge(adj: Adjacency, bridges: set[Edge]) -> Edge:
     """Lexicographically first non-bridge edge; exists whenever some
     component carries a cycle."""
-    for u, v in g.sorted_edges():
-        h = remove_edge(g, u, v)
-        try:
-            find_path(h, u, v)
-        except NoPathError:
-            continue
-        return (u, v)
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            if v > u and (u, v) not in bridges:
+                return (u, v)
     raise InternalInconsistencyError("no cycle edge in a graph that must have one")
 
 
 def realize_connected(x: DegreeSequence) -> SimpleGraph:
     """Connected realization via degree-preserving swaps.
 
-    Starts from the greedy realization and repeatedly swaps a cycle edge
-    against the first edge of another component, which merges components
-    without touching any degree. Feasibility is exactly the operational
-    c-graphicality test.
+    Starts from the greedy realization and repeatedly swaps the
+    lexicographically first cycle (non-bridge) edge {a,b} against the
+    first edge {c,d} of another component for {a,c},{b,d}, which merges
+    the two components without touching any degree. Feasibility is exactly
+    the operational c-graphicality test. The swaps edit one mutable
+    adjacency, and each merge runs one bridge-finding DFS, O(n + m).
     """
     x = DegreeSequence(x)
     if not is_c_graphical(x):
         raise NotCGraphicalError(f"{format_sequence(x)} is not c-graphical")
-    g = realize(x)
-    labels = component_labels(g)
-    while max(labels) > 0:
-        cyc = _first_cycle_edge(g)
-        cid = labels[cyc[0]]
-        cross = next(e for e in g.sorted_edges() if labels[e[0]] != cid)
-        g = two_swap(g, cyc, cross)
-        labels = component_labels(g)
-    return g
+    adj = _adjacency_lists(len(x), _greedy_edges(x))
+    while True:
+        labels, bridges = _bridges(adj)
+        if max(labels) == 0:
+            return _freeze(adj)
+        a, b = _first_cycle_edge(adj, bridges)
+        # every vertex has degree >= 1, so the first vertex outside a's
+        # component starts the first edge outside it
+        c = next(v for v, lab in enumerate(labels) if lab != labels[a])
+        d = adj[c][0]
+        _unlink(adj, a, b)
+        _unlink(adj, c, d)
+        _link(adj, a, c)
+        _link(adj, b, d)
 
 
 # -- order-driven rewiring ---------------------------------------------------
 
 
-def ranked_vertices(g: SimpleGraph) -> tuple[int, ...]:
-    """Vertices sorted by descending degree, index as tiebreak.
-
-    Position r-1 of the result is "the vertex at rank r" of the sorted
-    degree sequence.
-    """
-    return tuple(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
-
-
-def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
-    """Rewire g so its degree sequence loses one unit at rank i, gains at rank j.
-
-    If g realizes X' and X' arises from X by a unit transfer moving rank j
-    to rank i (i < j), the result realizes X. The pivot k is the smallest
-    vertex adjacent to the rank-i vertex, not adjacent to the rank-j
-    vertex, and (in the connected case) off the shortest path between
-    them; moving the edge from (i,k) to (j,k) preserves connectivity.
-    """
-    n = g.n
+def _inverse_transfer_step(adj: Adjacency, i: int, j: int, connected: bool) -> bool:
+    """apply_inverse_transfer on a mutable adjacency; returns whether the
+    rewired graph is connected. `connected` tells whether adj is."""
+    n = len(adj)
     if not (1 <= i <= n and 1 <= j <= n) or not i < j:
         raise PreconditionViolatedError(f"need ranks 1 <= i < j <= {n}, got i={i}, j={j}")
-    ranks = ranked_vertices(g)
-    degs = [g.degree(v) for v in ranks]
-    target = list(degs)
+    degs = [len(nbrs) for nbrs in adj]
+    # stable sort: descending degree, ascending index among ties
+    ranks = sorted(range(n), key=degs.__getitem__, reverse=True)
+    target = [degs[v] for v in ranks]
     target[i - 1] -= 1
     target[j - 1] += 1
     if any(target[k] < target[k + 1] for k in range(n - 1)):
@@ -478,40 +497,56 @@ def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
             "inverse transfer would not produce a non-increasing sequence"
         )
     vi, vj = ranks[i - 1], ranks[j - 1]
-    connected = is_connected(g)
-    if connected:
-        excluded = set(find_path(g, vi, vj))
-    else:
-        excluded = {vi, vj}
-    adj_j = set(g.neighbors(vj))
-    pivot = None
-    for k in g.neighbors(vi):
-        if k != vj and k not in adj_j and k not in excluded:
-            pivot = k
-            break
+    excluded = set(_path(adj, vi, vj)) if connected else {vi, vj}
+    adj_j = set(adj[vj])
+    pivot = next(
+        (k for k in adj[vi] if k != vj and k not in adj_j and k not in excluded), None
+    )
     if pivot is None:
         raise InternalInconsistencyError(
             f"no rewiring pivot for ranks {i},{j}; this contradicts the existence argument"
         )
-    h = add_edge(remove_edge(g, vi, pivot), vj, pivot)
-    if connected and not is_connected(h):
+    _unlink(adj, vi, pivot)
+    _link(adj, vj, pivot)
+    now_connected = _connected(adj)
+    if connected and not now_connected:
         raise InternalInconsistencyError("rewired graph lost connectivity")
-    return h
+    return now_connected
+
+
+def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
+    """Rewire g so its degree sequence loses one unit at rank i, gains at rank j.
+
+    If g realizes X' and X' arises from X by a unit transfer moving rank j
+    to rank i (i < j), the result realizes X. The rank-r vertex is the
+    r-th in descending degree, smaller index first among ties. The pivot k
+    is the smallest vertex adjacent to the rank-i vertex, not adjacent to
+    the rank-j vertex, and (in the connected case) off the shortest path
+    between them; moving the edge from (i,k) to (j,k) preserves
+    connectivity. One step of realize_via_domination on a copy of g.
+    """
+    adj = _thaw(g)
+    _inverse_transfer_step(adj, i, j, _connected(adj))
+    return _freeze(adj)
 
 
 def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGraph:
     """Realize x from a realization of a dominating equal-sum sequence.
 
     Decomposes x <= degree_sequence(g_prime) into unit transfers, then
-    undoes them on the graph from the last to the first. The result has
+    undoes them on one mutable copy of the graph from the last to the
+    first (apply_inverse_transfer's step). Each step runs one shortest-path
+    BFS when the graph is connected and one connectivity BFS after the
+    edit, which also serves as the next step's check. The result has
     degree sequence exactly x and is connected whenever g_prime is.
     """
     x = DegreeSequence(x)
     y = degree_sequence(g_prime)
     chain = decompose_into_basic_transfers(x, y)
-    g = g_prime
+    adj = _thaw(g_prime)
+    connected = _connected(adj)
     for t in reversed(chain.steps):
-        g = apply_inverse_transfer(g, t.to_rank, t.from_rank)
-    if degree_sequence(g) != x:
+        connected = _inverse_transfer_step(adj, t.to_rank, t.from_rank, connected)
+    if DegreeSequence(len(nbrs) for nbrs in adj) != x:
         raise InternalInconsistencyError("domination pipeline produced wrong degrees")
-    return g
+    return _freeze(adj)

@@ -271,6 +271,16 @@ class TestBasicTransfer:
         with pytest.raises(UnderflowError):
             apply_basic_transfer(D((2, 1, 0)), BasicTransfer(to_rank=1, from_rank=3))
 
+    def test_result_is_canonical_without_resorting(self):
+        out = apply_basic_transfer(D((3, 2, 2, 1)), BasicTransfer(to_rank=2, from_rank=4))
+        assert type(out) is DegreeSequence
+        assert tuple(out) == (3, 3, 2, 0)
+
+    def test_plain_tuple_is_sorted_first(self):
+        out = apply_basic_transfer((2, 2, 3), BasicTransfer(to_rank=1, from_rank=3))
+        assert type(out) is DegreeSequence
+        assert tuple(out) == (4, 2, 1)
+
     def test_bad_ranks_rejected_at_construction(self):
         with pytest.raises(ValueError):
             BasicTransfer(to_rank=3, from_rank=2)
@@ -302,6 +312,31 @@ class TestDecompose:
     def test_sum_mismatch(self):
         with pytest.raises(SumMismatchError):
             decompose_into_basic_transfers(D((1, 1)), D((2, 1)))
+
+    def test_unsorted_equal_inputs_give_the_empty_chain(self):
+        # the multisets agree, so nothing moves; the chain once started at
+        # (2,1,1) with a step ending at (3,1,0)
+        chain = decompose_into_basic_transfers((1, 1, 2), (2, 1, 1))
+        assert chain.start == (2, 1, 1)
+        assert chain.steps == ()
+        assert chain.end == (2, 1, 1)
+
+    def test_unsorted_inputs_replay(self):
+        # once a chain whose replay raised UnderflowError
+        chain = decompose_into_basic_transfers([1, 2, 3], [3, 2, 1])
+        assert chain.steps == ()
+        assert chain.replay() == [D((3, 2, 1))]
+
+    def test_unsorted_target_is_sorted_before_the_order_test(self):
+        # (2,2,2) <= (3,2,1): once refused as not majorized
+        chain = decompose_into_basic_transfers([2, 2, 2], [1, 2, 3])
+        assert [(t.from_rank, t.to_rank) for t in chain.steps] == [(3, 1)]
+        assert chain.end == (3, 2, 1)
+
+    def test_minimum_count_takes_plain_tuples(self):
+        # x.prefix_sums() once raised AttributeError on a plain tuple
+        assert minimum_transfer_count((2, 2, 2), (3, 2, 1)) == 1
+        assert minimum_transfer_count((2, 2, 2), (1, 2, 3)) == 1
 
     def test_exhaustive_replay_small(self):
         for x, y in equal_sum_majorized_pairs(5, 5):
