@@ -2,9 +2,15 @@
 
 Exit codes: 0 affirmative verdict or plain success, 1 negative verdict,
 2 usage error (unparseable input, out-of-range parameters), 3 internal
-inconsistency (oracle disagreement or a violated invariant). Output is
-line-oriented and stable; informational notes go to stderr so stdout can
-be compared against golden files.
+inconsistency (oracle disagreement or a violated invariant). `check` has
+one verdict path: `eg` and `certificate` take the verdict from the
+Erdős–Gallai core, `hh` and `constant` from their reduction traces (which
+agree with it everywhere), so `--method` only picks the certificate. The
+hub-fill witness of `certificate` covers only some negative answers; an
+answer of that method without a certificate is marked `"conclusive":
+false` (text: `inconclusive: no domination witness`) and exits 0.
+Output is line-oriented and stable; informational notes go to stderr so
+stdout can be compared against golden files.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import sys
 
 from . import constructions, maximal, orders, realizability
 from .errors import (
+    BadSumError,
     DegseqError,
     InternalInconsistencyError,
     NotCGraphicalError,
@@ -64,26 +71,18 @@ def _cmd_check(args) -> int:
     seq = _parse_seq(args, args.sequence)
     method = args.method
     certificate = None
-    if method == "eg":
-        graphical = realizability.erdos_gallai(seq)
-    elif method == "hh":
+    if method == "hh":
         graphical, certificate = realizability.havel_hakimi_trace(seq)
     elif method == "constant":
         verdict = realizability.reduce_to_constant(seq)
         graphical, certificate = verdict.graphical, verdict.certificate
-    else:  # certificate
-        witness = realizability.non_graphical_certificate(seq)
-        if witness is None:
-            verdict = realizability.Verdict(seq, True, None, "certificate", None)
-            if args.json:
-                payload = verdict.to_dict()
-                payload["conclusive"] = False
-                _emit(json.dumps(payload, sort_keys=True))
-            else:
-                _emit(f"sequence: {format_sequence(seq)}")
-                _emit("inconclusive: no domination witness")
-            return EXIT_OK
-        graphical, certificate = False, witness
+    else:  # eg, certificate
+        graphical = realizability.erdos_gallai(seq)
+        if method == "certificate" and not graphical:
+            try:
+                certificate = realizability.non_graphical_certificate(seq)
+            except BadSumError:  # odd total, or no hub fill has this total
+                pass
 
     c_graphical = None
     if args.connected:
@@ -93,9 +92,13 @@ def _cmd_check(args) -> int:
                 realizability.realize_connected(seq)
             )
     verdict = realizability.Verdict(seq, graphical, c_graphical, method, certificate)
+    inconclusive = method == "certificate" and certificate is None
 
     if args.json:
-        _emit(json.dumps(verdict.to_dict(), sort_keys=True))
+        payload = verdict.to_dict()
+        if inconclusive:
+            payload["conclusive"] = False
+        _emit(json.dumps(payload, sort_keys=True))
     else:
         _emit(f"sequence: {format_sequence(seq)}")
         _emit(f"graphical: {'yes' if graphical else 'no'} (method: {method})")
@@ -107,8 +110,10 @@ def _cmd_check(args) -> int:
             _emit(f"witness: {format_sequence(certificate.witness)} (d={certificate.d})")
         elif isinstance(certificate, realizability.RealizationCertificate):
             _emit("realization: " + " ".join(f"{u}-{v}" for u, v in certificate.edges))
+        elif inconclusive:
+            _emit("inconclusive: no domination witness")
     negative = (not graphical) or (args.connected and not c_graphical)
-    return EXIT_NEGATIVE if negative else EXIT_OK
+    return EXIT_NEGATIVE if negative and not inconclusive else EXIT_OK
 
 
 def _cmd_realize(args) -> int:

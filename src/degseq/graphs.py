@@ -1,7 +1,7 @@
 """Immutable labeled simple undirected graphs.
 
-Vertices are dense integers 0..n-1. Graph values never mutate: every edit
-returns a new graph, which keeps rewiring chains auditable step by step.
+Vertices are dense integers 0..n-1. A SimpleGraph never mutates: the
+public edits (add_edge, remove_edge, two_swap) each return a new graph.
 All traversals visit neighbors in ascending index order so outputs are
 reproducible.
 

@@ -11,6 +11,7 @@ stored as Fractions, never floats.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,10 +32,10 @@ from .errors import (
 class DegreeSequence(tuple):
     """Non-increasing tuple of non-negative integers.
 
-    Construction accepts any iterable of integers and sorts it in
-    non-increasing order, so every DegreeSequence is canonical. Zero
-    entries are legal and stand for isolated vertices; operations that
-    need strictly positive entries say so explicitly.
+    Construction sorts any iterable of integers (a float or a string entry
+    is a TypeError) in non-increasing order, so every DegreeSequence is
+    canonical. Zero entries are legal and stand for isolated vertices;
+    operations that need strictly positive entries say so explicitly.
     """
 
     __slots__ = ()
@@ -42,7 +43,7 @@ class DegreeSequence(tuple):
     def __new__(cls, values: Iterable[int]) -> "DegreeSequence":
         if type(values) is cls:
             return values
-        vals = sorted((int(v) for v in values), reverse=True)
+        vals = sorted(map(operator.index, values), reverse=True)
         if not vals:
             raise ValueError("a degree sequence must have at least one entry")
         if vals[-1] < 0:

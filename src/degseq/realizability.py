@@ -319,36 +319,29 @@ def reduce_to_constant(x: DegreeSequence) -> Verdict:
     while True:
         n = len(cur)
         if cur[0] > n - 1:
-            trace = ReductionTrace(tuple(steps), f"reject: head {cur[0]} exceeds {n - 1}")
-            return Verdict(x, False, None, "constant-reduction", trace)
+            graphical, outcome = False, f"reject: head {cur[0]} exceeds {n - 1}"
+            break
         if cur[0] == cur[-1]:
             a = cur[0]
             if (n * a) % 2:
-                trace = ReductionTrace(
-                    tuple(steps), f"constant a={a}, N*a={n * a} odd: not graphical"
-                )
-                return Verdict(x, False, None, "constant-reduction", trace)
-            if not erdos_gallai(x):
-                trace = ReductionTrace(
-                    tuple(steps),
+                graphical, outcome = False, f"constant a={a}, N*a={n * a} odd: not graphical"
+            elif not erdos_gallai(x):
+                graphical, outcome = False, (
                     f"constant a={a}, N*a={n * a} even, but exact inequalities "
-                    "refute graphicality (partial reductions are one-way)",
+                    "refute graphicality (partial reductions are one-way)"
                 )
-                return Verdict(x, False, None, "constant-reduction", trace)
-            trace = ReductionTrace(
-                tuple(steps), f"constant a={a}, N*a={n * a} even, a<={n - 1}"
-            )
-            return Verdict(x, True, None, "constant-reduction", trace)
+            else:
+                graphical, outcome = True, f"constant a={a}, N*a={n * a} even, a<={n - 1}"
+            break
         n_links = min(cur[0] - cur[-1], n - 1)
         try:
             nxt = generalized_reduce(cur, 1, n_links)
         except UnderflowError:
-            trace = ReductionTrace(
-                tuple(steps), f"reject: not enough positive entries for head {cur[0]}"
-            )
-            return Verdict(x, False, None, "constant-reduction", trace)
+            graphical, outcome = False, f"reject: not enough positive entries for head {cur[0]}"
+            break
         steps.append(TraceStep(cur, f"reduce(k=1,n={n_links})", nxt))
         cur = nxt
+    return Verdict(x, graphical, None, "constant-reduction", ReductionTrace(tuple(steps), outcome))
 
 
 def non_graphical_certificate(x: DegreeSequence) -> Optional[NonGraphicalWitness]:

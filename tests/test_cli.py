@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -7,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from degseq import cli
 from degseq.cli import main
+from degseq.constructions import hub_fill_sequence
 from degseq.maximal import MaximalSetReport, maximal_elements
-from degseq.orders import DegreeSequence
-from degseq.realizability import Verdict, erdos_gallai
+from degseq.orders import DegreeSequence, majorized
+from degseq.realizability import Verdict, erdos_gallai, is_c_graphical
 
 
 def run(capsys, *argv):
@@ -282,3 +285,82 @@ class TestVerdictConsistency:
 
     def test_usage_error_on_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def _all_check_inputs():
+    """Every non-increasing sequence with n <= 7 and entries <= n."""
+    for n in range(1, 8):
+        for combo in itertools.combinations_with_replacement(range(n, -1, -1), n):
+            yield DegreeSequence(combo)
+
+
+class TestOneVerdictPath:
+    """`check` takes its verdict from one core under every method; the
+    certificate method answers everything and marks a missing witness."""
+
+    @pytest.fixture
+    def check(self, capsys, monkeypatch):
+        parser = cli.build_parser()  # built once: argparse set-up dominates a small check
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        return lambda *argv: run(capsys, "check", *argv)
+
+    @pytest.mark.parametrize("connected", [False, True], ids=["plain", "connected"])
+    @pytest.mark.parametrize("method", ["eg", "hh", "constant", "certificate"])
+    def test_exhaustive_small_sequences(self, check, method, connected):
+        flags = ["--method", method, "--json"] + (["--connected"] if connected else [])
+        for seq in _all_check_inputs():
+            literal = ",".join(map(str, seq))
+            code, out, err = check(literal, *flags)
+            assert code in (0, 1), (literal, code, err)
+            data = json.loads(out)
+            graphical = erdos_gallai(seq)
+            assert data["graphical"] is graphical, literal
+            assert data["c_graphical"] is (is_c_graphical(seq) if connected else None), literal
+            conclusive = data.pop("conclusive", True)
+            assert Verdict.from_dict(data).to_dict() == data, literal
+            cert = data["certificate"]
+            if method != "certificate":
+                negative = not graphical or (connected and not data["c_graphical"])
+                assert conclusive is True and code == (1 if negative else 0), literal
+                continue
+            assert conclusive is (cert is not None), literal
+            witness = cert is not None and cert["kind"] == "witness"
+            assert code == (1 if witness else 0), literal
+            if witness:
+                w = DegreeSequence(cert["witness"])
+                assert w == hub_fill_sequence(len(seq), cert["d"]), literal
+                assert sum(w) == sum(seq) and majorized(w, seq) and w != seq, literal
+
+    @pytest.mark.parametrize(
+        "literal, graphical",
+        [
+            # non-graphical, but not above the hub fill of their total
+            ("4,4,1,1,1,1", False),
+            ("5,5,2,1,1,1,1", False),
+            ("4,4,4,1,1,1,1", False),
+            ("3,3,3,1,0", False),
+            # graphical with a total below 2(n-1): no hub fill to compare with
+            ("2,2,2,0,0,0", True),
+            # odd total
+            ("3,1,1", False),
+        ],
+    )
+    def test_certificate_method_without_witness(self, check, literal, graphical):
+        for method in ("eg", "hh", "constant"):
+            code, _, _ = check(literal, "--method", method)
+            assert code == (0 if graphical else 1)
+        code, out, _ = check(literal, "--method", "certificate", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["graphical"] is graphical
+        assert data["conclusive"] is False and data["certificate"] is None
+        code, out, _ = check(literal, "--method", "certificate")
+        assert code == 0
+        assert out.splitlines() == [
+            f"sequence: {literal}",
+            f"graphical: {'yes' if graphical else 'no'} (method: certificate)",
+            "inconclusive: no domination witness",
+        ]
+        code, out, _ = check(literal, "--method", "certificate", "--connected")
+        assert code == 0
+        assert "c-graphical: no" in out.splitlines()

@@ -34,6 +34,7 @@ from degseq.orders import (
     nonnormalized_lorenz_points,
     parse_sequence,
 )
+from degseq.realizability import erdos_gallai
 
 D = DegreeSequence
 
@@ -72,6 +73,22 @@ class TestDegreeSequenceType:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             D((1, -1))
+
+    @pytest.mark.parametrize("values", [(2.7, 1), (1.5, 1.5), (2.0, 2), ("3", 1), (1, "1")])
+    def test_rejects_non_integer_entries(self, values):
+        # exact arithmetic: no silent truncation of 2.7 to 2, no parsing of "3"
+        with pytest.raises(TypeError):
+            D(values)
+
+    def test_non_integer_entries_never_reach_a_verdict(self):
+        with pytest.raises(TypeError):
+            erdos_gallai([1.5, 1.5])
+
+    def test_ints_and_bools_as_before(self):
+        x = D((True, 2, False, 1))
+        assert x == (2, 1, 1, 0)
+        assert all(type(v) is int for v in x)
+        assert format_sequence(x) == "2,1,1,0"
 
     def test_parse_records_sortedness(self):
         seq, was_sorted = parse_sequence("5,4,4,3,3,3")

@@ -336,6 +336,30 @@ class TestReduceToConstant:
         assert not verdict.graphical
         assert "refute" in verdict.certificate.outcome
 
+    # the outcome strings are part of the CLI output, so each is pinned verbatim
+    @pytest.mark.parametrize(
+        "seq, graphical, n_steps, outcome",
+        [
+            ((4, 1, 1, 1), False, 0, "reject: head 4 exceeds 3"),
+            ((2, 2, 1), False, 1, "constant a=1, N*a=3 odd: not graphical"),
+            (
+                (3, 3, 3, 1),
+                False,
+                2,
+                "constant a=1, N*a=4 even, but exact inequalities refute graphicality "
+                "(partial reductions are one-way)",
+            ),
+            ((5, 4, 4, 3, 3, 3), True, 1, "constant a=3, N*a=18 even, a<=5"),
+            ((2, 1, 0), False, 0, "reject: not enough positive entries for head 2"),
+        ],
+    )
+    def test_outcome_strings(self, seq, graphical, n_steps, outcome):
+        verdict = reduce_to_constant(D(seq))
+        assert verdict.method == "constant-reduction" and verdict.c_graphical is None
+        assert verdict.graphical is graphical
+        assert len(verdict.certificate.steps) == n_steps
+        assert verdict.certificate.outcome == outcome
+
 
 class TestNonGraphicalCertificate:
     def test_witness_found(self):
