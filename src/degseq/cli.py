@@ -16,6 +16,7 @@ stdout can be compared against golden files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -264,6 +265,7 @@ def _cmd_lorenz(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: set-up costs more than parsing one command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degseq",

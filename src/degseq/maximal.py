@@ -3,13 +3,17 @@
 For n vertices and degree total 2(n-1) + 2d we enumerate, two independent
 ways, the set of degree sequences realized by connected graphs:
 
-* graphs oracle: every labeled graph with exactly n-1+d edges, keeping the
-  connected ones and collecting sorted degree sequences. Connectivity is
-  tested once per labeled degree vector: a graph whose vector an earlier
-  connected graph already gave cannot add to the image, so it is skipped
-  before its BFS, and one DegreeSequence is built per sorted vector at the
-  end. The scan still visits every edge set and never consults
-  Erdős–Gallai;
+* graphs oracle: every labeled graph with exactly n-1+d edges whose degree
+  vector is non-increasing, keeping the connected ones. That loses nothing:
+  relabeling the vertices of any graph by non-increasing degree gives such a
+  labeling with the same edges, the same connectivity and the same sorted
+  sequence. A depth-first search decides the vertex pairs in lexicographic
+  order, so deg[i] is final once the pairs (i, j) are decided, and it drops
+  a branch when deg[i] is 0, when a later vertex already has a larger
+  degree, or when the edges still to place exceed what the later vertices
+  can take with each capped at deg[i]; it adds (i, j) only while deg[i] is
+  below deg[i-1]. Connectivity is tested once per new degree vector, and
+  the oracle never consults Erdős–Gallai;
 * partitions oracle: every positive non-increasing length-n sequence with
   the right total, keeping the ones passing the Erdős–Gallai test together
   with the connectivity-feasibility conditions (that filter IS the
@@ -40,11 +44,11 @@ from .errors import (
 from .orders import DegreeSequence, format_sequence, majorized
 from .realizability import erdos_gallai
 
-# The graphs oracle's cost is its scan of C(n(n-1)/2, n-1+d) edge sets. On a
-# 2-vCPU Xeon VM (Python 3.11), (8, 3) scans 13.1 M of them in 22 s and
-# (8, 6) 37.4 M in 80 s, so a full n = 8 sweep, about 2^28 edge sets, takes
-# roughly 10 minutes; n = 9 is 2^36. Callers may override per call, at their
-# own expense.
+# The graphs oracle's cost is its search over degree-ordered labelings. On a
+# 2-vCPU Xeon VM (Python 3.11), (8, 3) takes 0.6 s, (8, 6) 1.8 s and a full
+# n = 8 sweep (22 levels) 8-12 s; at n = 9, (9, 3) takes 10 s and (9, 6),
+# (9, 9) and (9, 12) 43-67 s each, so a full n = 9 sweep takes about a
+# quarter of an hour. Callers may override per call, at their own expense.
 GRAPHS_ORACLE_MAX_N = 8
 PARTITIONS_ORACLE_MAX_N = 12
 
@@ -96,24 +100,48 @@ def _check_nd(n: int, d: int, cap: int) -> None:
 
 @lru_cache(maxsize=None)
 def _sequences_by_graphs(n: int, d: int) -> frozenset[DegreeSequence]:
-    pairs = list(itertools.combinations(range(n), 2))
-    m = n - 1 + d
+    deg = [0] * n
+    above: list[tuple[int, ...]] = [()] * n  # the later neighbours chosen for i
     confirmed: set[tuple[int, ...]] = set()
-    for combo in itertools.combinations(pairs, m):
-        deg = [0] * n
-        for u, v in combo:
-            deg[u] += 1
-            deg[v] += 1
-        key = tuple(deg)
-        if key in confirmed or 0 in deg:
-            continue
-        adj = [0] * n
-        for u, v in combo:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if _connected_masks(adj, n):
-            confirmed.add(key)
-    return frozenset(DegreeSequence(k) for k in {tuple(sorted(k)) for k in confirmed})
+
+    def block(i: int, left: int) -> None:
+        # the pairs (k, i) with k < i are decided; pick i's later neighbours
+        if i == n - 1:
+            key = tuple(deg)
+            if left == 0 and deg[i] and key not in confirmed:
+                adj = [0] * n
+                for u in range(i):
+                    for v in above[u]:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+                if _connected_masks(adj, n):
+                    confirmed.add(key)
+            return
+        later = range(i + 1, n)
+        rest = deg[i + 1 :]
+        high = max(rest)
+        base = sum(rest)
+        room = deg[i - 1] - deg[i] if i else len(later)
+        for size in range(min(room, len(later), left) + 1):
+            # deg[i] ends at top: prune on a zero, on a later vertex above
+            # top, and on more edges left than the later vertices can take
+            # when each is capped at top; a later vertex already at top
+            # cannot be chosen
+            top = deg[i] + size
+            if top == 0 or high > top or 2 * (left - size) > top * len(later) - base - size:
+                continue
+            deg[i] = top
+            for chosen in itertools.combinations([j for j in later if deg[j] < top], size):
+                above[i] = chosen
+                for j in chosen:
+                    deg[j] += 1
+                block(i + 1, left - size)
+                for j in chosen:
+                    deg[j] -= 1
+            deg[i] = top - size
+
+    block(0, n - 1 + d)
+    return frozenset(DegreeSequence(k) for k in confirmed)
 
 
 @lru_cache(maxsize=None)

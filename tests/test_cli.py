@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from degseq import cli
 from degseq.cli import main
 from degseq.constructions import hub_fill_sequence
 from degseq.maximal import MaximalSetReport, maximal_elements
@@ -299,9 +298,7 @@ class TestOneVerdictPath:
     certificate method answers everything and marks a missing witness."""
 
     @pytest.fixture
-    def check(self, capsys, monkeypatch):
-        parser = cli.build_parser()  # built once: argparse set-up dominates a small check
-        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    def check(self, capsys):
         return lambda *argv: run(capsys, "check", *argv)
 
     @pytest.mark.parametrize("connected", [False, True], ids=["plain", "connected"])

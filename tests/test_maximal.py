@@ -91,6 +91,20 @@ class TestGraphsOracleAgainstAtlas:
             for d in range(0, max_added_edges(n) + 1):
                 assert mx._sequences_by_graphs(n, d) == frozenset(expected[n, d]), (n, d)
 
+    def test_matches_partitions_at_eight_on_cheap_levels(self):
+        # every level at n = 8 runs in CI: scripts/maximal_sweep.py --max-n 8
+        for d in (0, 1, 2, 3, *range(14, max_added_edges(8) + 1)):
+            assert mx._sequences_by_graphs(8, d) == mx._sequences_by_partitions(8, d), d
+
+    def test_never_consults_erdos_gallai(self, monkeypatch):
+        def forbidden(seq):
+            raise AssertionError("graphs oracle called erdos_gallai")
+
+        levels = range(0, max_added_edges(6) + 1)
+        expected = [mx._sequences_by_partitions(6, d) for d in levels]
+        monkeypatch.setattr(mx, "erdos_gallai", forbidden)
+        assert [mx._sequences_by_graphs.__wrapped__(6, d) for d in levels] == expected
+
 
 def _pairwise_maximal(seqs):
     return frozenset(s for s in seqs if not any(majorized(s, t) and s != t for t in seqs))
