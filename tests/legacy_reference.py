@@ -1,24 +1,45 @@
-"""Verbatim copies of the first, quadratic realization and transfer code.
+"""Verbatim copies of earlier library code, kept as pinning references.
 
-These are the reference implementations the pinning tests compare
-against: the library's rewritten `realize`, `realize_connected`,
-`decompose_into_basic_transfers`, `apply_inverse_transfer` and
-`realize_via_domination` must give exactly the same edge sets and chains.
-The bodies are kept as they were (greedy realization re-sorting every
-vertex per head, one edge removal and one BFS per candidate cycle edge,
-one deficit profile per unit transfer, one graph copy per rewiring step);
-only the imports differ. Do not optimize them.
+The pinning tests compare the library against these:
+- the first, quadratic realization and transfer code: the rewritten
+  `realize`, `realize_connected`, `decompose_into_basic_transfers`,
+  `apply_inverse_transfer` and `realize_via_domination` must give exactly
+  the same edge sets and chains. The bodies are kept as they were (greedy
+  realization re-sorting every vertex per head, one edge removal and one
+  BFS per candidate cycle edge, one deficit profile per unit transfer, one
+  graph copy per rewiring step);
+- the re-sorting reductions (`hh_reduce`, `generalized_reduce`,
+  `havel_hakimi_trace`, `reduce_to_constant`) and the `check` command's
+  rendering of their traces (`format_sequence`, `_print_trace`,
+  `_cmd_check`, and `main`'s exit-code mapping): `degseq check --method
+  hh|constant` must print the same bytes on stdout and stderr and exit
+  with the same code.
+Only the imports differ, and a call to one of the copied functions resolves
+to its copy here. Do not optimize them.
 """
 
+import json
+import sys
+from typing import Iterable
+
+from degseq import realizability
+from degseq.cli import EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser
 from degseq.errors import (
+    BadCountError,
+    BadRankError,
+    BadSumError,
+    DegseqError,
+    HeadTooLargeError,
     InternalInconsistencyError,
     LengthMismatchError,
     NoPathError,
     NotCGraphicalError,
     NotGraphicalError,
     NotMajorizedError,
+    OracleMismatchError,
     PreconditionViolatedError,
     SumMismatchError,
+    UnderflowError,
 )
 from degseq.graphs import (
     SimpleGraph,
@@ -34,10 +55,20 @@ from degseq.orders import (
     BasicTransfer,
     DegreeSequence,
     TransferChain,
-    format_sequence,
     majorized,
+    parse_sequence,
 )
-from degseq.realizability import erdos_gallai, is_c_graphical
+from degseq.realizability import (
+    ReductionTrace,
+    TraceStep,
+    Verdict,
+    erdos_gallai,
+    is_c_graphical,
+)
+
+
+def format_sequence(seq: Iterable[int]) -> str:
+    return ",".join(str(v) for v in seq)
 
 
 def realize(x: DegreeSequence) -> SimpleGraph:
@@ -203,3 +234,216 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
     if degree_sequence(g) != x:
         raise InternalInconsistencyError("domination pipeline produced wrong degrees")
     return g
+
+
+# -- re-sorting reductions and their rendering by `check` ------------------
+
+
+def hh_reduce(x: DegreeSequence) -> DegreeSequence:
+    """Drop the head h and subtract one from the next h entries.
+
+    The result has length N-1 and is re-sorted. Raises HeadTooLargeError
+    when h > N-1 and UnderflowError when fewer than h of the remaining
+    entries are positive; both conditions imply the input is not graphical.
+    """
+    x = DegreeSequence(x)
+    n = len(x)
+    h = x[0]
+    if h > n - 1:
+        raise HeadTooLargeError(f"head {h} exceeds {n - 1}")
+    if n == 1:
+        raise ValueError("cannot reduce a single-entry sequence")
+    if h > 0 and x[h] == 0:
+        raise UnderflowError(f"only {sum(1 for v in x[1:] if v > 0)} positive entries for head {h}")
+    vals = [x[idx] - 1 if idx <= h else x[idx] for idx in range(1, n)]
+    return DegreeSequence(vals)
+
+
+def havel_hakimi_trace(x: DegreeSequence) -> tuple[bool, ReductionTrace]:
+    """Iterate the head reduction to a verdict, recording every step."""
+    cur = DegreeSequence(x)
+    steps: list[TraceStep] = []
+    while True:
+        n = len(cur)
+        if all(v == 0 for v in cur):
+            return True, ReductionTrace(tuple(steps), "all-zero")
+        if cur[0] > n - 1:
+            return False, ReductionTrace(tuple(steps), f"reject: head {cur[0]} exceeds {n - 1}")
+        try:
+            nxt = hh_reduce(cur)
+        except UnderflowError:
+            return False, ReductionTrace(
+                tuple(steps), f"reject: not enough positive entries for head {cur[0]}"
+            )
+        steps.append(TraceStep(cur, "hh", nxt))
+        cur = nxt
+
+
+def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequence:
+    """Lower rank k by n_links and subtract one from the n_links largest others.
+
+    Keeps the vertex (so the result has length N and may contain a zero when
+    n_links equals the rank-k value) and re-sorts. Graphicality is preserved
+    in both directions. Ties are broken leftmost, which does not affect the
+    resulting multiset.
+    """
+    x = DegreeSequence(x)
+    n = len(x)
+    if not 1 <= k <= n:
+        raise BadRankError(f"rank k={k} outside 1..{n}")
+    if not 1 <= n_links <= x[k - 1]:
+        raise BadCountError(f"n={n_links} outside 1..{x[k - 1]} for rank {k}")
+    if n_links > n - 1:
+        raise BadCountError(f"n={n_links} exceeds the {n - 1} other entries")
+    others = [idx for idx in range(n) if idx != k - 1]
+    top = others[:n_links]
+    if any(x[idx] == 0 for idx in top):
+        raise UnderflowError("a targeted entry is already zero")
+    vals = list(x)
+    vals[k - 1] -= n_links
+    for idx in top:
+        vals[idx] -= 1
+    return DegreeSequence(vals)
+
+
+def reduce_to_constant(x: DegreeSequence) -> Verdict:
+    """Drive the sequence to a constant with generalized head reductions.
+
+    Each step reduces rank 1 by n = min(x_1 - x_N, N-1); a constant block
+    (a,...,a) of length N is graphical iff a <= N-1 and N*a is even, which
+    often ends the run in far fewer steps than the head reduction chain.
+
+    All rejections (oversized head, underflow, odd N*a) are sound
+    certificates of non-graphicality, and every graphical input is
+    accepted, because each reduction step preserves graphicality in the
+    forward direction. The reverse direction of a partial head reduction
+    is NOT an equivalence, though ((3,3,3,1) reduces to the graphical
+    (2,2,1,1) but is itself not graphical: re-attaching the removed links
+    collides with existing edges), so a constant-rule accept is confirmed
+    against the exact inequalities and overridden when refuted; the trace
+    outcome records which rule decided.
+    """
+    x = DegreeSequence(x)
+    steps: list[TraceStep] = []
+    cur = x
+    while True:
+        n = len(cur)
+        if cur[0] > n - 1:
+            graphical, outcome = False, f"reject: head {cur[0]} exceeds {n - 1}"
+            break
+        if cur[0] == cur[-1]:
+            a = cur[0]
+            if (n * a) % 2:
+                graphical, outcome = False, f"constant a={a}, N*a={n * a} odd: not graphical"
+            elif not erdos_gallai(x):
+                graphical, outcome = False, (
+                    f"constant a={a}, N*a={n * a} even, but exact inequalities "
+                    "refute graphicality (partial reductions are one-way)"
+                )
+            else:
+                graphical, outcome = True, f"constant a={a}, N*a={n * a} even, a<={n - 1}"
+            break
+        n_links = min(cur[0] - cur[-1], n - 1)
+        try:
+            nxt = generalized_reduce(cur, 1, n_links)
+        except UnderflowError:
+            graphical, outcome = False, f"reject: not enough positive entries for head {cur[0]}"
+            break
+        steps.append(TraceStep(cur, f"reduce(k=1,n={n_links})", nxt))
+        cur = nxt
+    return Verdict(x, graphical, None, "constant-reduction", ReductionTrace(tuple(steps), outcome))
+
+
+def _emit(text: str) -> None:
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _note(args, message: str) -> None:
+    if not args.quiet:
+        print(message, file=sys.stderr)
+
+
+def _parse_seq(args, literal: str) -> DegreeSequence:
+    # "-" reads the literal from stdin, for sequences past the argv size cap;
+    # a second "-" in one command finds stdin drained and is a usage error
+    if literal == "-":
+        literal = sys.stdin.read()
+    seq, already_sorted = parse_sequence(literal)
+    if not already_sorted:
+        _note(args, f"note: input reordered to {format_sequence(seq)}")
+    return seq
+
+
+def _print_trace(trace: realizability.ReductionTrace) -> None:
+    for step in trace.steps:
+        _emit(
+            f"  {format_sequence(step.before)} -[{step.rule}]-> {format_sequence(step.after)}"
+        )
+    _emit(f"  {trace.outcome}")
+
+
+def _cmd_check(args) -> int:
+    seq = _parse_seq(args, args.sequence)
+    method = args.method
+    certificate = None
+    if method == "hh":
+        graphical, certificate = havel_hakimi_trace(seq)
+    elif method == "constant":
+        verdict = reduce_to_constant(seq)
+        graphical, certificate = verdict.graphical, verdict.certificate
+    else:  # eg, certificate
+        graphical = realizability.erdos_gallai(seq)
+        if method == "certificate" and not graphical:
+            try:
+                certificate = realizability.non_graphical_certificate(seq)
+            except BadSumError:  # odd total, or no hub fill has this total
+                pass
+
+    c_graphical = None
+    if args.connected:
+        c_graphical = graphical and realizability.is_c_graphical(seq)
+        if c_graphical:
+            certificate = realizability.RealizationCertificate.from_graph(
+                realizability.realize_connected(seq)
+            )
+    verdict = realizability.Verdict(seq, graphical, c_graphical, method, certificate)
+    inconclusive = method == "certificate" and certificate is None
+
+    if args.json:
+        payload = verdict.to_dict()
+        if inconclusive:
+            payload["conclusive"] = False
+        _emit(json.dumps(payload, sort_keys=True))
+    else:
+        _emit(f"sequence: {format_sequence(seq)}")
+        _emit(f"graphical: {'yes' if graphical else 'no'} (method: {method})")
+        if args.connected:
+            _emit(f"c-graphical: {'yes' if c_graphical else 'no'}")
+        if isinstance(certificate, realizability.ReductionTrace):
+            _print_trace(certificate)
+        elif isinstance(certificate, realizability.NonGraphicalWitness):
+            _emit(f"witness: {format_sequence(certificate.witness)} (d={certificate.d})")
+        elif isinstance(certificate, realizability.RealizationCertificate):
+            _emit("realization: " + " ".join(f"{u}-{v}" for u, v in certificate.edges))
+        elif inconclusive:
+            _emit("inconclusive: no domination witness")
+    negative = (not graphical) or (args.connected and not c_graphical)
+    return EXIT_NEGATIVE if negative and not inconclusive else EXIT_OK
+
+
+def main(argv: list[str]) -> int:
+    """`degseq` with every command line routed to the `_cmd_check` copy."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+        return code if isinstance(code, int) else EXIT_USAGE
+    try:
+        return _cmd_check(args)
+    except (OracleMismatchError, InternalInconsistencyError) as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (DegseqError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE

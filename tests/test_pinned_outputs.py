@@ -1,25 +1,38 @@
-"""Pin realizations and transfer chains to the first, quadratic code.
+"""Pin realizations, transfer chains and reduction traces to earlier code.
 
 `legacy_reference` keeps verbatim copies of the original greedy
 realization, connected realization, transfer decomposition and rewiring
 step. The library's rewrites must return exactly the same edge sets and
 chains (and raise the same errors), exhaustively at small sizes and on
 random inputs up to n = 60.
+
+It also keeps the re-sorting Havel–Hakimi and constant reductions and the
+`check` command's rendering of their traces. `degseq check --method
+hh|constant` must print the same stdout and stderr and exit with the same
+code, in text and JSON, with and without `--connected`: exhaustively over
+non-increasing sequences with n <= 7, and on random inputs up to n = 300.
 """
 
+import contextlib
+import io
 import itertools
+import random
+import sys
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import legacy_reference as legacy
 from degseq.constructions import build_clique_fill, build_hub_fill, max_added_edges
+from degseq.cli import main
 from degseq.graphs import SimpleGraph, degree_sequence
 from degseq.maximal import bounded_partitions
 from degseq.orders import DegreeSequence, decompose_into_basic_transfers, majorized
 from degseq.realizability import (
     apply_inverse_transfer,
     erdos_gallai,
+    generalized_reduce,
+    hh_reduce,
     is_c_graphical,
     realize,
     realize_connected,
@@ -203,3 +216,161 @@ def test_realize_4_regular_20000():
     g = realize(D([4] * n))
     assert len(g.edges) == 2 * n
     assert all(g.degree(v) == 4 for v in range(n))
+
+
+# -- `check --method hh|constant` against the re-sorting reductions ---------
+
+CHECK_FLAGS = [
+    [method, *extra]
+    for method in ("hh", "constant")
+    for extra in ([], ["--json"], ["--connected"], ["--json", "--connected"])
+]
+
+
+def cli_outcome(entry, argv, stdin=""):
+    """(exit code, stdout, stderr) of one in-process command line."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = entry(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_check_pinned(literal, flags, stdin=""):
+    argv = ["check", literal, "--method", *flags]
+    assert cli_outcome(main, argv, stdin) == cli_outcome(legacy.main, argv, stdin), argv
+
+
+def test_check_traces_every_sequence_up_to_7():
+    """Every non-increasing sequence with n <= 7 and entries <= n."""
+    count = 0
+    for n in range(1, 8):
+        for combo in itertools.combinations_with_replacement(range(n, -1, -1), n):
+            literal = ",".join(map(str, combo))
+            for flags in CHECK_FLAGS:
+                assert_check_pinned(literal, flags)
+            count += 1
+    assert count == 4706
+
+
+def test_check_traces_unsorted_stdin_and_bad_input():
+    for literal in ("3,4,3,3,1", "0,0,5,1", "1,2,3,4,5,6", "5,4,x", "", "3,-1", "7"):
+        for flags in CHECK_FLAGS:
+            assert_check_pinned(literal, flags)
+            assert_check_pinned(literal, [*flags, "--quiet"])
+    for flags in CHECK_FLAGS:
+        assert_check_pinned("-", flags, stdin="4,4,3,3,2,2,1,1\n")
+
+
+@st.composite
+def trace_inputs(draw, max_n=300):
+    """Random-graph, regular or trailing-zero sequences up to n = 300,
+    sometimes with units pushed from the tail to the head, which can break
+    graphicality and reach the rejecting outcomes."""
+    kind = draw(st.sampled_from(("random-graph", "regular", "trailing-zero")))
+    n = draw(st.integers(1, max_n))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "regular":
+        vals = [draw(st.integers(0, n))] * n
+    else:
+        p = draw(st.floats(0.0, 1.0))
+        deg = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rnd.random() < p:
+                    deg[u] += 1
+                    deg[v] += 1
+        vals = sorted(deg, reverse=True)
+        if kind == "trailing-zero":
+            vals += [0] * draw(st.integers(1, n))
+    for _ in range(draw(st.integers(0, 3))):
+        tail = max((i for i, v in enumerate(vals) if v), default=0)
+        if tail:
+            vals[tail] -= 1
+            vals[0] += 1
+            vals.sort(reverse=True)
+    return ",".join(map(str, vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_inputs(), st.sampled_from(CHECK_FLAGS))
+def test_check_traces_match_on_random_inputs(literal, flags):
+    assert_check_pinned(literal, flags)
+
+
+def test_check_traces_match_at_n_300():
+    rnd = random.Random(300)
+    n = 300
+    graph = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rnd.random() < 0.05:
+                graph[u] += 1
+                graph[v] += 1
+    graph.sort(reverse=True)
+    for vals in (graph, graph[:200] + [0] * 100, [4] * n, [299] * n, [7] * n):
+        for flags in CHECK_FLAGS:
+            assert_check_pinned(",".join(map(str, vals)), flags)
+
+
+# -- order-keeping reductions against the re-sorting ones -------------------
+
+
+def assert_reduction_pinned(fn, reference, *args):
+    got = outcome(fn, *args)
+    assert got == outcome(reference, *args), args
+    if got[0] == "ok":
+        out = got[1]
+        assert type(out) is D
+        assert all(a >= b for a, b in zip(out, out[1:])), (args, out)
+
+
+def test_reductions_every_sequence_rank_and_count_up_to_6():
+    """hh_reduce and generalized_reduce with every rank and link count,
+    valid or not, on every non-increasing sequence with n <= 6."""
+    for n in range(1, 7):
+        for x in nonincreasing(n, n):
+            assert_reduction_pinned(hh_reduce, legacy.hh_reduce, x)
+            for k in range(0, n + 2):
+                for links in range(0, n + 2):
+                    assert_reduction_pinned(
+                        generalized_reduce, legacy.generalized_reduce, x, k, links
+                    )
+
+
+@st.composite
+def tie_block_sequences(draw, max_n=200):
+    """Non-increasing sequences built around one long tie block of value v
+    over positions start..end, drawn so that it straddles a chosen
+    position h; the head is h when the entries allow it."""
+    n = draw(st.integers(2, max_n))
+    h = draw(st.integers(1, n - 1))
+    v = draw(st.integers(0, h))
+    start = draw(st.integers(1, h))
+    end = draw(st.integers(h, n - 1))
+    prefix = sorted(draw(st.lists(st.integers(v, h), min_size=start - 1, max_size=start - 1)))
+    suffix = draw(st.lists(st.integers(0, v), min_size=n - 1 - end, max_size=n - 1 - end))
+    head = draw(st.sampled_from((h, max([v, *prefix]), n)))
+    return D([head, *prefix, *[v] * (end - start + 1), *suffix])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        tie_block_sequences(),
+        st.builds(lambda v, n: D([v] * n), st.integers(0, 60), st.integers(1, 60)),
+    ),
+    st.data(),
+)
+def test_reductions_match_on_long_tie_blocks(x, data):
+    n = len(x)
+    assert_reduction_pinned(hh_reduce, legacy.hh_reduce, x)
+    k = data.draw(st.integers(1, n), label="k")
+    links = data.draw(st.integers(1, max(1, min(x[k - 1], n - 1))), label="n_links")
+    assert_reduction_pinned(generalized_reduce, legacy.generalized_reduce, x, 1, links)
+    assert_reduction_pinned(generalized_reduce, legacy.generalized_reduce, x, k, links)
+    assert_reduction_pinned(generalized_reduce, legacy.generalized_reduce, x, 1, min(x[0], n - 1))
