@@ -16,6 +16,7 @@ stdout can be compared against golden files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -60,12 +61,50 @@ def _parse_seq(args, literal: str) -> DegreeSequence:
     return seq
 
 
-def _print_trace(trace: realizability.ReductionTrace) -> None:
+def _rendered_steps(trace: realizability.ReductionTrace, sep: str):
+    """Yield (before, rule, after) per step, sequences as text joined by sep.
+
+    Step i's after is step i+1's before, so each of the n+1 sequences of an
+    n-step trace is rendered once, through one int-to-str table, and only
+    two renderings are alive at a time. The table stops at the first head:
+    a reduction step never raises an entry.
+    """
+    if not trace.steps:
+        return
+    digits = [str(v) for v in range(trace.steps[0].before[0] + 1)].__getitem__
+    before = sep.join(map(digits, trace.steps[0].before))
     for step in trace.steps:
-        _emit(
-            f"  {format_sequence(step.before)} -[{step.rule}]-> {format_sequence(step.after)}"
-        )
+        after = sep.join(map(digits, step.after))
+        yield before, step.rule, after
+        before = after
+
+
+def _print_trace(trace: realizability.ReductionTrace) -> None:
+    for before, rule, after in _rendered_steps(trace, ","):
+        _emit(f"  {before} -[{rule}]-> {after}")
     _emit(f"  {trace.outcome}")
+
+
+def _emit_trace_verdict_json(verdict: realizability.Verdict) -> None:
+    """Write json.dumps(verdict.to_dict(), sort_keys=True) and a newline
+    for a verdict whose certificate is a trace.
+
+    The steps are written one by one from the rendered sequences instead
+    of from two list copies per step; the rest of the record comes from
+    to_dict.
+    """
+    trace = verdict.certificate
+    record = json.dumps(dataclasses.replace(verdict, certificate=None).to_dict(), sort_keys=True)
+    head, tail = record.split('"certificate": null', 1)
+    write = sys.stdout.write
+    write(f'{head}"certificate": {{"kind": "trace", "outcome": {json.dumps(trace.outcome)}, ')
+    write('"steps": [')
+    for i, (before, rule, after) in enumerate(_rendered_steps(trace, ", ")):
+        write(
+            f'{", " if i else ""}{{"after": [{after}], "before": [{before}], '
+            f'"rule": {json.dumps(rule)}}}'
+        )
+    write(f"]}}{tail}\n")
 
 
 def _cmd_check(args) -> int:
@@ -95,7 +134,9 @@ def _cmd_check(args) -> int:
     verdict = realizability.Verdict(seq, graphical, c_graphical, method, certificate)
     inconclusive = method == "certificate" and certificate is None
 
-    if args.json:
+    if args.json and isinstance(certificate, realizability.ReductionTrace):
+        _emit_trace_verdict_json(verdict)
+    elif args.json:
         payload = verdict.to_dict()
         if inconclusive:
             payload["conclusive"] = False

@@ -50,6 +50,11 @@ class DegreeSequence(tuple):
             raise ValueError("degree sequence entries must be non-negative")
         return super().__new__(cls, vals)
 
+    @classmethod
+    def _from_sorted(cls, vals: list[int]) -> "DegreeSequence":
+        """Wrap entries already non-increasing and non-negative, unchecked."""
+        return tuple.__new__(cls, vals)
+
     def prefix_sums(self) -> tuple[int, ...]:
         """Running totals (s_1, s_1+s_2, ...), length N."""
         out = []
@@ -83,7 +88,7 @@ def parse_sequence(text: str) -> tuple[DegreeSequence, bool]:
 
 
 def format_sequence(seq: Iterable[int]) -> str:
-    return ",".join(str(v) for v in seq)
+    return ",".join(map(str, seq))
 
 
 # -- order relations ------------------------------------------------------

@@ -13,8 +13,10 @@ time.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import neg
 from typing import Optional, Union
 
 from .constructions import hub_fill_sequence, max_added_edges
@@ -224,12 +226,32 @@ def erdos_gallai(x: DegreeSequence) -> bool:
     return sum(x) % 2 == 0 and erdos_gallai_violation(x) is None
 
 
+def _lower_prefix(vals: list[int], count: int) -> None:
+    """Subtract one from the first count entries of vals, keeping it sorted.
+
+    vals is non-increasing and vals[count - 1] >= 1. The entries equal to
+    v = vals[count - 1] form a tie block that may run past position count;
+    lowering the rightmost copies of v in that block instead of the
+    leftmost ones gives the same multiset already in non-increasing order.
+    O(count) Python work and two binary searches, no re-sort.
+    """
+    if count == 0:
+        return
+    v = vals[count - 1]
+    start = bisect_left(vals, -v, 0, count - 1, key=neg)
+    end = bisect_right(vals, -v, count - 1, key=neg)
+    vals[:start] = [u - 1 for u in vals[:start]]
+    vals[end - (count - start) : end] = [v - 1] * (count - start)
+
+
 def hh_reduce(x: DegreeSequence) -> DegreeSequence:
     """Drop the head h and subtract one from the next h entries.
 
-    The result has length N-1 and is re-sorted. Raises HeadTooLargeError
-    when h > N-1 and UnderflowError when fewer than h of the remaining
-    entries are positive; both conditions imply the input is not graphical.
+    The result has length N-1 and stays non-increasing without a re-sort:
+    within the tie block of the last lowered entry, the rightmost copies
+    are the ones lowered. Raises HeadTooLargeError when h > N-1 and
+    UnderflowError when fewer than h of the remaining entries are
+    positive; both conditions imply the input is not graphical.
     """
     x = DegreeSequence(x)
     n = len(x)
@@ -240,8 +262,10 @@ def hh_reduce(x: DegreeSequence) -> DegreeSequence:
         raise ValueError("cannot reduce a single-entry sequence")
     if h > 0 and x[h] == 0:
         raise UnderflowError(f"only {sum(1 for v in x[1:] if v > 0)} positive entries for head {h}")
-    vals = [x[idx] - 1 if idx <= h else x[idx] for idx in range(1, n)]
-    return DegreeSequence(vals)
+    vals = list(x)
+    del vals[0]
+    _lower_prefix(vals, h)
+    return DegreeSequence._from_sorted(vals)
 
 
 def havel_hakimi_trace(x: DegreeSequence) -> tuple[bool, ReductionTrace]:
@@ -250,7 +274,7 @@ def havel_hakimi_trace(x: DegreeSequence) -> tuple[bool, ReductionTrace]:
     steps: list[TraceStep] = []
     while True:
         n = len(cur)
-        if all(v == 0 for v in cur):
+        if cur[0] == 0:
             return True, ReductionTrace(tuple(steps), "all-zero")
         if cur[0] > n - 1:
             return False, ReductionTrace(tuple(steps), f"reject: head {cur[0]} exceeds {n - 1}")
@@ -273,9 +297,11 @@ def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequenc
     """Lower rank k by n_links and subtract one from the n_links largest others.
 
     Keeps the vertex (so the result has length N and may contain a zero when
-    n_links equals the rank-k value) and re-sorts. Graphicality is preserved
-    in both directions. Ties are broken leftmost, which does not affect the
-    resulting multiset.
+    n_links equals the rank-k value). Graphicality is preserved in both
+    directions. The order is kept without a re-sort: the others are lowered
+    as in hh_reduce, the rightmost entries of the last tie block first,
+    which gives the same multiset as breaking ties leftmost, and the
+    lowered rank-k entry goes back in by binary search.
     """
     x = DegreeSequence(x)
     n = len(x)
@@ -285,15 +311,14 @@ def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequenc
         raise BadCountError(f"n={n_links} outside 1..{x[k - 1]} for rank {k}")
     if n_links > n - 1:
         raise BadCountError(f"n={n_links} exceeds the {n - 1} other entries")
-    others = [idx for idx in range(n) if idx != k - 1]
-    top = others[:n_links]
-    if any(x[idx] == 0 for idx in top):
+    others = list(x)
+    del others[k - 1]
+    if others[n_links - 1] == 0:
         raise UnderflowError("a targeted entry is already zero")
-    vals = list(x)
-    vals[k - 1] -= n_links
-    for idx in top:
-        vals[idx] -= 1
-    return DegreeSequence(vals)
+    _lower_prefix(others, n_links)
+    lowered = x[k - 1] - n_links
+    others.insert(bisect_left(others, -lowered, key=neg), lowered)
+    return DegreeSequence._from_sorted(others)
 
 
 def reduce_to_constant(x: DegreeSequence) -> Verdict:

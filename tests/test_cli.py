@@ -12,7 +12,13 @@ from degseq.cli import main
 from degseq.constructions import hub_fill_sequence
 from degseq.maximal import MaximalSetReport, maximal_elements
 from degseq.orders import DegreeSequence, majorized
-from degseq.realizability import Verdict, erdos_gallai, is_c_graphical
+from degseq.realizability import (
+    Verdict,
+    erdos_gallai,
+    havel_hakimi_trace,
+    is_c_graphical,
+    reduce_to_constant,
+)
 
 
 def run(capsys, *argv):
@@ -66,6 +72,30 @@ class TestCheck:
         verdict = Verdict.from_dict(json.loads(out))
         assert verdict.graphical
         assert verdict.sequence == DegreeSequence((5, 4, 4, 3, 3, 3))
+
+    @pytest.mark.parametrize(
+        "literal", ["5,4,4,3,3,3", "3,3,3,1", "4,4,4,1", "2,2,0", "0", "1,1,1", "3,1,1"]
+    )
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_trace_json_equals_json_dumps_of_the_verdict(self, capsys, literal, connected):
+        """The trace record is written step by step, and must give exactly
+        the bytes of json.dumps(verdict.to_dict(), sort_keys=True)."""
+        seq = DegreeSequence(int(v) for v in literal.split(","))
+        extra = ["--connected"] if connected else []
+        for method in ("hh", "constant"):
+            if method == "hh":
+                graphical, trace = havel_hakimi_trace(seq)
+            else:
+                verdict = reduce_to_constant(seq)
+                graphical, trace = verdict.graphical, verdict.certificate
+            c_graphical = None
+            if connected:
+                c_graphical = graphical and is_c_graphical(seq)
+            if c_graphical:
+                continue  # the certificate is a realization, not the trace
+            expected = Verdict(seq, graphical, c_graphical, method, trace)
+            _, out, _ = run(capsys, "check", literal, "--method", method, "--json", *extra)
+            assert out == json.dumps(expected.to_dict(), sort_keys=True) + "\n"
 
     def test_reorder_note_and_quiet(self, capsys):
         _, _, err = run(capsys, "check", "3,4,3,3,1")
