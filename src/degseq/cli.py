@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import json
 import sys
+from bisect import bisect_left
 
 from . import constructions, maximal, orders, realizability
 from .errors import (
@@ -64,17 +65,25 @@ def _parse_seq(args, literal: str) -> DegreeSequence:
 def _rendered_steps(trace: realizability.ReductionTrace, sep: str):
     """Yield (before, rule, after) per step, sequences as text joined by sep.
 
-    Step i's after is step i+1's before, so each of the n+1 sequences of an
-    n-step trace is rendered once, through one int-to-str table, and only
-    two renderings are alive at a time. The table stops at the first head:
-    a reduction step never raises an entry.
+    Each of the n+1 sequences is rendered once, as step i's after and step
+    i+1's before. It is non-increasing and no step raises an entry above the
+    first head, so it is rendered one run of equal values at a time.
     """
     if not trace.steps:
         return
-    digits = [str(v) for v in range(trace.steps[0].before[0] + 1)].__getitem__
-    before = sep.join(map(digits, trace.steps[0].before))
+    texts = [sep + str(v) for v in range(trace.steps[0].before[0] + 1)]
+
+    def render(seq: DegreeSequence) -> str:
+        ascending, n, i, runs = seq[::-1], len(seq), 0, []
+        while i < n:  # the run of seq[i] ends before the first smaller entry
+            end = n - bisect_left(ascending, seq[i], 0, n - i)
+            runs.append(texts[seq[i]] * (end - i))
+            i = end
+        return "".join(runs)[len(sep) :]
+
+    before = render(trace.steps[0].before)
     for step in trace.steps:
-        after = sep.join(map(digits, step.after))
+        after = render(step.after)
         yield before, step.rule, after
         before = after
 
@@ -87,11 +96,8 @@ def _print_trace(trace: realizability.ReductionTrace) -> None:
 
 def _emit_trace_verdict_json(verdict: realizability.Verdict) -> None:
     """Write json.dumps(verdict.to_dict(), sort_keys=True) and a newline
-    for a verdict whose certificate is a trace.
-
-    The steps are written one by one from the rendered sequences instead
-    of from two list copies per step; the rest of the record comes from
-    to_dict.
+    for a verdict whose certificate is a trace: the steps one by one from
+    the rendered sequences, the rest of the record from to_dict.
     """
     trace = verdict.certificate
     record = json.dumps(dataclasses.replace(verdict, certificate=None).to_dict(), sort_keys=True)
@@ -233,8 +239,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_maximal(args) -> int:
     report = maximal.maximal_elements(args.n, args.d, oracle=args.oracle, max_n=args.max_n)
-    if args.max_n is not None:
-        _note(args, f"note: enumeration cap overridden to {args.max_n}")
+    cap = maximal.enumeration_cap(args.oracle, args.max_n)
+    if cap > maximal.enumeration_cap(args.oracle):
+        _note(args, f"note: enumeration cap overridden to n <= {cap}")
     if args.json:
         _emit(json.dumps(report.to_dict(), sort_keys=True))
         return EXIT_OK

@@ -155,6 +155,15 @@ def _sequences_by_partitions(n: int, d: int) -> frozenset[DegreeSequence]:
     return frozenset(found)
 
 
+def enumeration_cap(oracle: str, max_n: int | None = None) -> int:
+    """Largest n the oracle enumerates; max_n can raise the cap, never lower it.
+
+    "both" runs the graphs oracle, so it has that oracle's cap.
+    """
+    default = PARTITIONS_ORACLE_MAX_N if oracle == "partitions" else GRAPHS_ORACLE_MAX_N
+    return max(default, max_n or 0)
+
+
 def enumerate_connected_sequences(
     n: int, d: int, oracle: str = "both", *, max_n: int | None = None
 ) -> frozenset[DegreeSequence]:
@@ -165,15 +174,11 @@ def enumerate_connected_sequences(
     """
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
-    graphs_cap = max(GRAPHS_ORACLE_MAX_N, max_n or 0)
-    partitions_cap = max(PARTITIONS_ORACLE_MAX_N, max_n or 0)
+    _check_nd(n, d, enumeration_cap(oracle, max_n))
     if oracle == "graphs":
-        _check_nd(n, d, graphs_cap)
         return _sequences_by_graphs(n, d)
     if oracle == "partitions":
-        _check_nd(n, d, partitions_cap)
         return _sequences_by_partitions(n, d)
-    _check_nd(n, d, graphs_cap)
     by_graphs = _sequences_by_graphs(n, d)
     by_partitions = _sequences_by_partitions(n, d)
     if by_graphs != by_partitions:

@@ -75,14 +75,12 @@ def parse_sequence(text: str) -> tuple[DegreeSequence, bool]:
     input was already sorted, so callers can warn about reordering.
     """
     parts = [p.strip() for p in text.strip().strip('"').split(",")]
-    if not parts or any(p == "" for p in parts):
+    # ASCII digits only: int() alone would also read "1_0", "+3" and "٣"
+    if not (all(map(str.isascii, parts)) and all(map(str.isdigit, parts))):
+        if all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+            raise ValueError("sequence entries must be non-negative")
         raise ValueError(f"cannot parse sequence literal {text!r}")
-    try:
-        raw = [int(p) for p in parts]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse sequence literal {text!r}") from exc
-    if any(v < 0 for v in raw):
-        raise ValueError("sequence entries must be non-negative")
+    raw = [int(p) for p in parts]
     seq = DegreeSequence(raw)
     return seq, list(seq) == raw
 

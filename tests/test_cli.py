@@ -6,13 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from degseq.cli import main
+from conftest import degree_sequences
+from degseq.cli import _rendered_steps, main
 from degseq.constructions import hub_fill_sequence
 from degseq.maximal import MaximalSetReport, maximal_elements
 from degseq.orders import DegreeSequence, majorized
 from degseq.realizability import (
+    ReductionTrace,
+    TraceStep,
     Verdict,
     erdos_gallai,
     havel_hakimi_trace,
@@ -66,6 +71,17 @@ class TestCheck:
         code, _, err = run(capsys, "check", "5,4,x")
         assert code == 2
 
+    @pytest.mark.parametrize("literal", ["1_0,1_0,+3,٣", "1_0", "+3", "٣,2"])
+    def test_non_ascii_digit_literals_are_usage_errors(self, capsys, literal):
+        code, out, err = run(capsys, "check", literal)
+        assert (code, out) == (2, "")
+        assert "cannot parse sequence literal" in err
+
+    def test_negative_entry_message(self, capsys):
+        code, _, err = run(capsys, "check", "3,-1")
+        assert code == 2
+        assert "sequence entries must be non-negative" in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "check", "5,4,4,3,3,3", "--method", "hh", "--json")
         assert code == 0
@@ -74,7 +90,19 @@ class TestCheck:
         assert verdict.sequence == DegreeSequence((5, 4, 4, 3, 3, 3))
 
     @pytest.mark.parametrize(
-        "literal", ["5,4,4,3,3,3", "3,3,3,1", "4,4,4,1", "2,2,0", "0", "1,1,1", "3,1,1"]
+        "literal",
+        [
+            "5,4,4,3,3,3", "3,3,3,1", "4,4,4,1", "2,2,0", "0", "1,1,1", "3,1,1",
+            # values that cross 99 -> 100 and 9 -> 10, long tie blocks,
+            # trailing zeros, single entries
+            pytest.param(",".join(["150"] * 300), id="150-regular-300"),
+            pytest.param(
+                ",".join(map(str, [120] * 10 + [100] * 40 + [10] * 100 + [9] * 100 + [0] * 50)),
+                id="tie-blocks-300",
+            ),
+            pytest.param(",".join(["7"] * 40 + ["3"] * 60), id="tie-blocks-100"),
+            "3,3,3,3,0,0,0", "5,5,1,1,0,0", "1", "4",
+        ],
     )
     @pytest.mark.parametrize("connected", [False, True])
     def test_trace_json_equals_json_dumps_of_the_verdict(self, capsys, literal, connected):
@@ -219,6 +247,18 @@ class TestMaximal:
         code, _, err = run(capsys, "maximal", "40", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("max_n", ["3", "-4", "8"])
+    def test_max_n_below_the_cap_prints_no_note(self, capsys, max_n):
+        code, _, err = run(capsys, "maximal", "6", "2", "--max-n", max_n)
+        assert code == 0
+        assert "cap" not in err
+
+    def test_max_n_note_names_the_cap_of_the_oracle_in_use(self, capsys):
+        _, _, err = run(capsys, "maximal", "6", "2", "--oracle", "partitions", "--max-n", "10")
+        assert "cap" not in err  # partitions' own cap is 12
+        _, _, err = run(capsys, "maximal", "6", "2", "--max-n", "10")
+        assert "note: enumeration cap overridden to n <= 10\n" in err
+
     def test_max_n_override(self, capsys):
         code, _, _ = run(capsys, "maximal", "13", "0", "--oracle", "partitions")
         assert code == 2
@@ -272,6 +312,35 @@ class TestLorenz:
     def test_zero_sum_usage_error(self, capsys):
         code, _, _ = run(capsys, "lorenz", "0,0")
         assert code == 2
+
+
+def _naive_steps(trace: ReductionTrace, sep: str) -> list[tuple[str, str, str]]:
+    return [
+        (sep.join(map(str, step.before)), step.rule, sep.join(map(str, step.after)))
+        for step in trace.steps
+    ]
+
+
+class TestRenderedSteps:
+    """`_rendered_steps` renders by runs of equal values; the text must equal
+    sep.join(map(str, s)) for every sequence of the trace."""
+
+    @given(st.lists(degree_sequences(max_len=60, max_value=150), min_size=1, max_size=5))
+    def test_random_non_increasing_sequences(self, seqs):
+        # a reduction never raises an entry above the first head; neither do these
+        seqs.sort(key=lambda s: s[0], reverse=True)
+        steps = tuple(TraceStep(a, f"r{i}", b) for i, (a, b) in enumerate(zip(seqs, seqs[1:])))
+        trace = ReductionTrace.from_dict(ReductionTrace(steps, "done").to_dict())
+        for sep in (",", ", "):
+            assert list(_rendered_steps(trace, sep)) == _naive_steps(trace, sep)
+
+    @given(degree_sequences(max_len=40, max_value=120))
+    def test_reduction_traces_rebuilt_from_dict(self, seq):
+        traces = [havel_hakimi_trace(seq)[1], reduce_to_constant(seq).certificate]
+        for trace in traces:
+            rebuilt = ReductionTrace.from_dict(trace.to_dict())
+            for sep in (",", ", "):
+                assert list(_rendered_steps(rebuilt, sep)) == _naive_steps(trace, sep)
 
 
 class TestStdin:

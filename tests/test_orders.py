@@ -97,9 +97,16 @@ class TestDegreeSequenceType:
         assert tuple(seq) == (3, 2, 1) and not was_sorted
 
     def test_parse_rejects_junk(self):
-        for bad in ("", "1,,2", "1,a", "1;2"):
+        # int() alone reads "1_0" as 10, "+3" as 3 and "٣" (Arabic-Indic) as 3
+        for bad in ("", "1,,2", "1,a", "1;2", "1_0,1_0", "+3", "٣", "3,--1", "3,-", "1 0"):
             with pytest.raises(ValueError):
                 parse_sequence(bad)
+
+    def test_parse_keeps_the_sign_error_and_surrounding_whitespace(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            parse_sequence("3,-1")
+        seq, was_sorted = parse_sequence(" 3 , 2,1 \n")
+        assert tuple(seq) == (3, 2, 1) and was_sorted
 
     def test_format_round_trip(self):
         assert format_sequence(D((4, 3, 1))) == "4,3,1"
