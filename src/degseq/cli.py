@@ -113,11 +113,25 @@ def _emit_trace_verdict_json(verdict: realizability.Verdict) -> None:
     write(f"]}}{tail}\n")
 
 
+def _emit_graph_json(payload: dict, g) -> None:
+    """Write json.dumps({**payload, "edges": [list(e) for e in g.sorted_edges()]},
+    sort_keys=True) and a newline, the edges one run per vertex's upper neighbors."""
+    head, tail = json.dumps({**payload, "edges": None}, sort_keys=True).split('"edges": null', 1)
+    up = g.upper_neighbors()
+    runs = (f"[{u}, " + f"], [{u}, ".join(map(str, vs)) + "]" for u, vs in enumerate(up) if vs)
+    sys.stdout.write(f'{head}"edges": [{", ".join(runs)}]{tail}\n')
+
+
 def _cmd_check(args) -> int:
     seq = _parse_seq(args, args.sequence)
     method = args.method
     certificate = None
-    if method == "hh":
+    c_graphical = realizability.is_c_graphical(seq) if args.connected else None
+    if c_graphical:  # implies graphical; the realization is printed, so no trace is built
+        graphical, certificate = True, realizability.RealizationCertificate.from_graph(
+            realizability.realize_connected(seq)
+        )
+    elif method == "hh":
         graphical, certificate = realizability.havel_hakimi_trace(seq)
     elif method == "constant":
         verdict = realizability.reduce_to_constant(seq)
@@ -129,14 +143,6 @@ def _cmd_check(args) -> int:
                 certificate = realizability.non_graphical_certificate(seq)
             except BadSumError:  # odd total, or no hub fill has this total
                 pass
-
-    c_graphical = None
-    if args.connected:
-        c_graphical = graphical and realizability.is_c_graphical(seq)
-        if c_graphical:
-            certificate = realizability.RealizationCertificate.from_graph(
-                realizability.realize_connected(seq)
-            )
     verdict = realizability.Verdict(seq, graphical, c_graphical, method, certificate)
     inconclusive = method == "certificate" and certificate is None
 
@@ -178,17 +184,7 @@ def _cmd_realize(args) -> int:
             print(f"not realizable: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     if args.json:
-        _emit(
-            json.dumps(
-                {
-                    "sequence": list(seq),
-                    "realized": True,
-                    "n": g.n,
-                    "edges": [list(e) for e in g.sorted_edges()],
-                },
-                sort_keys=True,
-            )
-        )
+        _emit_graph_json({"sequence": list(seq), "realized": True, "n": g.n}, g)
     elif args.format == "dot":
         _emit(to_dot(g))
     else:
@@ -227,8 +223,9 @@ def _cmd_construct(args) -> int:
     if args.json:
         payload = {"n": n, "d": d, "prime": bool(args.prime), "sequence": list(seq)}
         if args.emit in ("graph", "both"):
-            payload["edges"] = [list(e) for e in g.sorted_edges()]
-        _emit(json.dumps(payload, sort_keys=True))
+            _emit_graph_json(payload, g)
+        else:
+            _emit(json.dumps(payload, sort_keys=True))
         return EXIT_OK
     if args.emit in ("seq", "both"):
         _emit(format_sequence(seq))

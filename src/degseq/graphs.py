@@ -3,7 +3,8 @@
 Vertices are dense integers 0..n-1. A SimpleGraph never mutates: the
 public edits (add_edge, remove_edge, two_swap) each return a new graph.
 All traversals visit neighbors in ascending index order so outputs are
-reproducible.
+reproducible. Edges come out in ascending (u, v) order from each vertex's
+ascending list of larger neighbors, in O(m) plus sorting those short lists.
 
 Algorithms that edit one graph many times (the realizations and the
 rewiring chains in `realizability`) instead work on a mutable adjacency,
@@ -77,8 +78,18 @@ class SimpleGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return _norm(u, v) in self.edges
 
+    def upper_neighbors(self) -> list[list[int]]:
+        """Per vertex u, the ascending list of its neighbors v > u."""
+        up: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            up[u].append(v)
+        for vs in up:
+            vs.sort()
+        return up
+
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        """Edges in ascending order, read off upper_neighbors (no tuple sort)."""
+        return [(u, v) for u, vs in enumerate(self.upper_neighbors()) for v in vs]
 
 
 def degree_sequence(g: SimpleGraph) -> DegreeSequence:
@@ -212,6 +223,8 @@ def _path(adj, i: int, j: int) -> VertexPath:
         for w in adj[u]:
             if w not in parent:
                 parent[w] = u
+                if w == j:  # parents already set stay, so the path is the same
+                    break
                 queue.append(w)
     if j not in parent:
         raise NoPathError(f"vertices {i} and {j} are in different components")

@@ -498,38 +498,64 @@ def realize_connected(x: DegreeSequence) -> SimpleGraph:
 # -- order-driven rewiring ---------------------------------------------------
 
 
-def _inverse_transfer_step(adj: Adjacency, i: int, j: int, connected: bool) -> bool:
-    """apply_inverse_transfer on a mutable adjacency; returns whether the
-    rewired graph is connected. `connected` tells whether adj is."""
+def _ranks(adj: Adjacency) -> tuple[list[int], list[int]]:
+    """Rank order (descending degree, then index) and its negated degrees."""
+    order = sorted(range(len(adj)), key=lambda v: -len(adj[v]))
+    return order, [-len(adj[v]) for v in order]
+
+
+def _rerank(order: list[int], keys: list[int], r: int, d: int) -> None:
+    """Move the rank-(r+1) vertex, now of degree d, into d's block by vertex index."""
+    v = order.pop(r)
+    del keys[r]
+    lo = bisect_left(keys, -d)
+    slot = bisect_left(order, v, lo, bisect_right(keys, -d, lo))
+    order.insert(slot, v)
+    keys.insert(slot, -d)
+
+
+def _inverse_transfer_step(adj: Adjacency, order, keys, i: int, j: int, connected: bool) -> bool:
+    """apply_inverse_transfer on adj and its _ranks state, both edited in
+    place; returns whether the result is connected, given whether adj is.
+
+    Rank i only falls and rank j only rises, so the precondition reads just
+    the pairs (i, i+1) and (j-1, j). A connected result is certified, not
+    searched: the edit removes {vi, k} and adds {vj, k}; if the vi-vj path
+    P is still present and k is off P and now adjacent to vj, then any w
+    still reaches vi (a simple w-vi path uses {vi, k} only as its last
+    edge, so w reaches k, then vj, then vi along P). A disconnected graph
+    keeps the BFS, which tells when it becomes connected.
+    """
     n = len(adj)
     if not (1 <= i <= n and 1 <= j <= n) or not i < j:
         raise PreconditionViolatedError(f"need ranks 1 <= i < j <= {n}, got i={i}, j={j}")
-    degs = [len(nbrs) for nbrs in adj]
-    # stable sort: descending degree, ascending index among ties
-    ranks = sorted(range(n), key=degs.__getitem__, reverse=True)
-    target = [degs[v] for v in ranks]
-    target[i - 1] -= 1
-    target[j - 1] += 1
-    if any(target[k] < target[k + 1] for k in range(n - 1)):
+    new_i, new_j = -keys[i - 1] - 1, -keys[j - 1] + 1
+    after_i = new_j if j == i + 1 else -keys[i]
+    before_j = new_i if j == i + 1 else -keys[j - 2]
+    if new_i < after_i or before_j < new_j:
         raise PreconditionViolatedError(
             "inverse transfer would not produce a non-increasing sequence"
         )
-    vi, vj = ranks[i - 1], ranks[j - 1]
-    excluded = set(_path(adj, vi, vj)) if connected else {vi, vj}
+    vi, vj = order[i - 1], order[j - 1]
+    path = _path(adj, vi, vj) if connected else (vi, vj)
+    excluded = set(path)
     adj_j = set(adj[vj])
-    pivot = next(
-        (k for k in adj[vi] if k != vj and k not in adj_j and k not in excluded), None
-    )
+    pivot = next((k for k in adj[vi] if k not in adj_j and k not in excluded), None)
     if pivot is None:
         raise InternalInconsistencyError(
             f"no rewiring pivot for ranks {i},{j}; this contradicts the existence argument"
         )
     _unlink(adj, vi, pivot)
     _link(adj, vj, pivot)
-    now_connected = _connected(adj)
-    if connected and not now_connected:
+    if not connected:
+        connected = _connected(adj)
+    elif pivot in excluded or pivot not in adj[vj] or any(
+        b not in adj[a] for a, b in zip(path, path[1:])
+    ):
         raise InternalInconsistencyError("rewired graph lost connectivity")
-    return now_connected
+    _rerank(order, keys, j - 1, new_j)
+    _rerank(order, keys, i - 1, new_i)
+    return connected
 
 
 def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
@@ -540,11 +566,11 @@ def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
     r-th in descending degree, smaller index first among ties. The pivot k
     is the smallest vertex adjacent to the rank-i vertex, not adjacent to
     the rank-j vertex, and (in the connected case) off the shortest path
-    between them; moving the edge from (i,k) to (j,k) preserves
-    connectivity. One step of realize_via_domination on a copy of g.
+    between them; moving the edge (i,k) to (j,k) keeps connectivity, as
+    certified along that path. One step of realize_via_domination on a copy of g.
     """
     adj = _thaw(g)
-    _inverse_transfer_step(adj, i, j, _connected(adj))
+    _inverse_transfer_step(adj, *_ranks(adj), i, j, _connected(adj))
     return _freeze(adj)
 
 
@@ -553,18 +579,22 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
 
     Decomposes x <= degree_sequence(g_prime) into unit transfers, then
     undoes them on one mutable copy of the graph from the last to the
-    first (apply_inverse_transfer's step). Each step runs one shortest-path
-    BFS when the graph is connected and one connectivity BFS after the
-    edit, which also serves as the next step's check. The result has
-    degree sequence exactly x and is connected whenever g_prime is.
+    first (apply_inverse_transfer's step), ranks sorted once and then kept
+    by moving the two changed vertices. A connected step runs one shortest-
+    path BFS and an O(|path|) certificate, a disconnected one a connectivity
+    BFS. The result has degree sequence x and is connected whenever g_prime
+    is; both are checked once at the end.
     """
     x = DegreeSequence(x)
     y = degree_sequence(g_prime)
     chain = decompose_into_basic_transfers(x, y)
     adj = _thaw(g_prime)
+    order, keys = _ranks(adj)
     connected = _connected(adj)
     for t in reversed(chain.steps):
-        connected = _inverse_transfer_step(adj, t.to_rank, t.from_rank, connected)
+        connected = _inverse_transfer_step(adj, order, keys, t.to_rank, t.from_rank, connected)
     if DegreeSequence(len(nbrs) for nbrs in adj) != x:
         raise InternalInconsistencyError("domination pipeline produced wrong degrees")
+    if connected and not _connected(adj):
+        raise InternalInconsistencyError("rewired graph lost connectivity")
     return _freeze(adj)

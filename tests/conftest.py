@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -35,6 +36,17 @@ def small_graphs(draw, min_n: int = 1, max_n: int = 10) -> SimpleGraph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return SimpleGraph.from_edges(n, picked)
+
+
+@st.composite
+def random_graphs(draw, max_n: int = 80) -> SimpleGraph:
+    """G(n, p) with n and p drawn; cheap to draw at every size."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.floats(0.0, 1.0))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    return SimpleGraph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
+    )
 
 
 @pytest.fixture

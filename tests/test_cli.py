@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import json
@@ -8,11 +9,18 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import degree_sequences
+from conftest import degree_sequences, random_graphs
 from degseq.cli import _rendered_steps, main
-from degseq.constructions import hub_fill_sequence
+from degseq.constructions import (
+    build_clique_fill,
+    build_hub_fill,
+    clique_fill_sequence,
+    hub_fill_sequence,
+    incomplete_star,
+)
+from degseq.graphs import degree_sequence
 from degseq.maximal import MaximalSetReport, maximal_elements
 from degseq.orders import DegreeSequence, majorized
 from degseq.realizability import (
@@ -22,6 +30,8 @@ from degseq.realizability import (
     erdos_gallai,
     havel_hakimi_trace,
     is_c_graphical,
+    realize,
+    realize_connected,
     reduce_to_constant,
 )
 
@@ -155,6 +165,61 @@ class TestRealize:
         assert code == 0
         assert out.startswith("graph G {")
         assert "0 -- 1;" in out
+
+
+def graph_json(payload, g):
+    """The graph record as json.dumps writes it, one list per sorted edge."""
+    record = {**payload, "edges": [list(e) for e in sorted(g.edges)]}
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+class TestGraphJson:
+    """`realize --json` and `construct --emit graph|both --json` print the
+    bytes of json.dumps with one list per edge, from the sorted edge tuples."""
+
+    @staticmethod
+    def realize_json(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["realize", *argv, "--json"])
+        return code, out.getvalue()
+
+    def assert_realize_pinned(self, seq):
+        literal = ",".join(map(str, seq))
+        record = {"sequence": list(seq), "realized": True, "n": len(seq)}
+        assert self.realize_json(literal) == (0, graph_json(record, realize(seq)))
+        code, out = self.realize_json(literal, "--connected")
+        if is_c_graphical(seq):
+            assert (code, out) == (0, graph_json(record, realize_connected(seq)))
+        else:
+            assert code == 1 and json.loads(out)["realized"] is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs().map(degree_sequence))
+    def test_realize_random_graphical_sequences(self, seq):
+        self.assert_realize_pinned(seq)
+
+    @pytest.mark.parametrize("seq", [[40] * 400, [1, 1], [0]], ids=["40-regular-400", "edge", "n1"])
+    def test_realize_fixed_sequences(self, seq):
+        self.assert_realize_pinned(DegreeSequence(seq))
+
+    @pytest.mark.parametrize(
+        "n,d,prime",
+        [(2, 0, False), (5, -2, False), (5, 3, False), (7, 3, True), (40, 500, False),
+         (40, 500, True), (70, 1300, False), (6, -4, False)],
+    )
+    @pytest.mark.parametrize("emit", ["graph", "both"])
+    def test_construct(self, capsys, n, d, prime, emit):
+        if d < 0:
+            seq, g = incomplete_star(n, d)
+        elif prime:
+            seq, g = clique_fill_sequence(n, d), build_clique_fill(n, d)
+        else:
+            seq, g = hub_fill_sequence(n, d), build_hub_fill(n, d)
+        argv = ["construct", str(n), str(d), "--emit", emit, "--json"] + ["--prime"] * prime
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == graph_json({"n": n, "d": d, "prime": prime, "sequence": list(seq)}, g)
 
 
 class TestCompare:
@@ -460,3 +525,19 @@ class TestOneVerdictPath:
         code, out, _ = check(literal, "--method", "certificate", "--connected")
         assert code == 0
         assert "c-graphical: no" in out.splitlines()
+
+    @pytest.mark.parametrize("method", ["hh", "constant", "certificate"])
+    def test_connected_yes_builds_no_trace_or_witness(self, check, monkeypatch, method):
+        """A c-graphical answer prints the realization, so the reduction trace
+        and the witness are never built for it."""
+
+        def forbidden(*args):
+            raise AssertionError("built a certificate that is not printed")
+
+        for name in ("havel_hakimi_trace", "reduce_to_constant", "non_graphical_certificate"):
+            monkeypatch.setattr(f"degseq.realizability.{name}", forbidden)
+        code, out, _ = check("5,4,4,3,3,3", "--method", method, "--connected", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["graphical"] is True and data["c_graphical"] is True
+        assert data["certificate"]["kind"] == "realization"

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import small_graphs
+from conftest import random_graphs, small_graphs
 
 from degseq.errors import (
     EdgeExistsError,
@@ -24,6 +24,7 @@ from degseq.graphs import (
     two_swap,
 )
 from degseq.orders import DegreeSequence
+from degseq.realizability import is_c_graphical, realize, realize_connected
 
 
 def star(n):
@@ -165,3 +166,54 @@ class TestTextFormats:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             from_edge_list_text("3\n0 1\n")
+
+
+# -- edge output against the tuple sort ---------------------------------------
+
+
+def sorted_edge_list_text(g):
+    lines = [f"{g.n} {len(g.edges)}"] + [f"{u} {v}" for u, v in sorted(g.edges)]
+    return "\n".join(lines) + "\n"
+
+
+def sorted_dot(g):
+    lines = ["graph G {"] + [f"  {v};" for v in range(g.n)]
+    lines += [f"  {u} -- {v};" for u, v in sorted(g.edges)] + ["}"]
+    return "\n".join(lines) + "\n"
+
+
+def realizations(seq):
+    seq = DegreeSequence(seq)
+    yield realize(seq)
+    if is_c_graphical(seq):
+        yield realize_connected(seq)
+
+
+class TestSortedEdges:
+    """sorted_edges, read off the upper neighbor lists, equals the tuple sort,
+    and the text formats built on it are unchanged."""
+
+    @staticmethod
+    def assert_unchanged(g):
+        assert g.sorted_edges() == sorted(g.edges)
+        assert g.upper_neighbors() == [
+            sorted(v for v in g.neighbors(u) if v > u) for u in range(g.n)
+        ]
+        assert to_edge_list_text(g) == sorted_edge_list_text(g)
+        assert to_dot(g) == sorted_dot(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_graphs())
+    def test_random_graphs(self, g):
+        self.assert_unchanged(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs())
+    def test_realizations_of_random_graph_degrees(self, g):
+        for h in realizations(degree_sequence(g)):
+            self.assert_unchanged(h)
+
+    @pytest.mark.parametrize("seq", [[40] * 400, [1, 1], [0]], ids=["40-regular-400", "edge", "n1"])
+    def test_fixed_realizations(self, seq):
+        for h in realizations(seq):
+            self.assert_unchanged(h)

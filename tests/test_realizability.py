@@ -11,13 +11,15 @@ from degseq.errors import (
     BadRankError,
     BadSumError,
     HeadTooLargeError,
+    InternalInconsistencyError,
     NotCGraphicalError,
     NotGraphicalError,
     PreconditionViolatedError,
     UnderflowError,
 )
+from degseq import realizability
 from degseq.graphs import SimpleGraph, degree_sequence, is_connected
-from degseq.orders import DegreeSequence, min_tail_sum
+from degseq.orders import DegreeSequence, decompose_into_basic_transfers, min_tail_sum
 from degseq.realizability import (
     Verdict,
     apply_inverse_transfer,
@@ -499,6 +501,120 @@ class TestRealizeViaDomination:
     @given(small_graphs(min_n=2, max_n=7))
     def test_random_graph_self_domination(self, g):
         assert realize_via_domination(degree_sequence(g), g) == g
+
+
+class BrokenRewiring:
+    """Spies on the rewiring step's helpers and, from step `at` on, breaks
+    the first edit whose vi-vj path has at least three vertices.
+
+    "pivot_on_path" moves the path edge {vi, P[1]} to vj instead of the
+    edge to the chosen pivot; "unlink_path_edge" makes the right edit and
+    also removes the last path edge; "skip_link" removes {vi, pivot} but
+    never adds {vj, pivot}. `steps` counts the steps begun and `hit` is
+    the step that was broken.
+    """
+
+    def __init__(self, monkeypatch, kind, at=1):
+        self.kind, self.at, self.steps, self.hit, self.route = kind, at, 0, None, None
+        self._path, self._link, self._unlink = (
+            realizability._path,
+            realizability._link,
+            realizability._unlink,
+        )
+        for name in ("_path", "_link", "_unlink"):
+            monkeypatch.setattr(realizability, name, getattr(self, name[1:]))
+
+    @property
+    def active(self):
+        return self.hit == self.steps
+
+    def path(self, adj, i, j):
+        self.route = self._path(adj, i, j)
+        self.steps += 1
+        if self.hit is None and self.kind and self.steps >= self.at and len(self.route) >= 3:
+            self.hit = self.steps
+        return self.route
+
+    def unlink(self, adj, u, v):
+        if self.active and self.kind == "pivot_on_path":
+            v = self.route[1]
+        self._unlink(adj, u, v)
+        if self.active and self.kind == "unlink_path_edge":
+            self._unlink(adj, self.route[-2], self.route[-1])
+
+    def link(self, adj, u, v):
+        if not self.active or self.kind == "unlink_path_edge":
+            self._link(adj, u, v)
+        elif self.kind == "pivot_on_path" and self.route[1] not in adj[u]:
+            self._link(adj, u, self.route[1])
+
+
+def broom():
+    """Vertex 0 with leaves 5 and 6 and the path 0-1-2-3-4."""
+    return SimpleGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (0, 6)])
+
+
+def double_star():
+    """Vertex 0 joined to 1..6 and vertex 1 joined to 7..11: a tree above the path."""
+    edges = [(0, v) for v in range(1, 7)] + [(1, v) for v in range(7, 12)]
+    return SimpleGraph.from_edges(12, edges)
+
+
+KINDS = ["pivot_on_path", "unlink_path_edge", "skip_link"]
+PATH_SEQUENCE = D([2] * 10 + [1, 1])  # the path on 12 vertices, below the star and hub fill
+
+
+class TestRewiringCertificate:
+    """A broken edit on a connected graph is caught at its own step by the
+    path certificate, not at the whole-graph check at the end."""
+
+    def test_spies_alone_change_nothing(self, monkeypatch):
+        expected = realize_via_domination(PATH_SEQUENCE, star(12))
+        spy = BrokenRewiring(monkeypatch, None)
+        assert realize_via_domination(PATH_SEQUENCE, star(12)) == expected
+        assert spy.hit is None and spy.steps > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_transfer(self, monkeypatch, kind):
+        # ranks 1 and 5 are vertices 0 and 4, joined by the path 0-1-2-3-4
+        assert degree_sequence(apply_inverse_transfer(broom(), 1, 5)) == D([2] * 5 + [1, 1])
+        spy = BrokenRewiring(monkeypatch, kind)
+        with pytest.raises(InternalInconsistencyError, match="rewired graph lost connectivity"):
+            apply_inverse_transfer(broom(), 1, 5)
+        assert spy.hit == spy.steps == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("g_prime", [star(12), double_star()], ids=["star", "double-star"])
+    def test_every_step_of_a_chain(self, monkeypatch, kind, g_prime):
+        chain = decompose_into_basic_transfers(PATH_SEQUENCE, degree_sequence(g_prime))
+        hits = set()
+        for at in range(1, len(chain.steps) + 1):
+            with monkeypatch.context() as m:
+                spy = BrokenRewiring(m, kind, at)
+                with pytest.raises(InternalInconsistencyError, match="lost connectivity"):
+                    realize_via_domination(PATH_SEQUENCE, g_prime)
+                assert spy.hit is not None and spy.steps == spy.hit, at
+                hits.add(spy.hit)
+        assert len(hits) > 1
+
+    def test_no_whole_graph_pass_per_step_when_connected(self, monkeypatch):
+        calls = {"_connected": 0, "_ranks": 0}
+
+        def counted(name):
+            real = getattr(realizability, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(realizability, name, counted(name))
+        chain = decompose_into_basic_transfers(PATH_SEQUENCE, degree_sequence(star(12)))
+        assert len(chain.steps) == 9
+        realize_via_domination(PATH_SEQUENCE, star(12))
+        assert calls == {"_connected": 2, "_ranks": 1}  # before the chain and after it
 
 
 class TestVerdictType:
