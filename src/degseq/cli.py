@@ -10,7 +10,8 @@ hub-fill witness of `certificate` covers only some negative answers; an
 answer of that method without a certificate is marked `"conclusive":
 false` (text: `inconclusive: no domination witness`) and exits 0.
 Output is line-oriented and stable; informational notes go to stderr so
-stdout can be compared against golden files.
+stdout can be compared against golden files. Every `--json` record is the
+text of json.dumps with sorted keys.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ EXIT_INTERNAL = 3
 
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_json(obj) -> None:
+    _emit(json.dumps(obj, sort_keys=True))
 
 
 def _note(args, message: str) -> None:
@@ -152,7 +157,7 @@ def _cmd_check(args) -> int:
         payload = verdict.to_dict()
         if inconclusive:
             payload["conclusive"] = False
-        _emit(json.dumps(payload, sort_keys=True))
+        _emit_json(payload)
     else:
         _emit(f"sequence: {format_sequence(seq)}")
         _emit(f"graphical: {'yes' if graphical else 'no'} (method: {method})")
@@ -179,7 +184,7 @@ def _cmd_realize(args) -> int:
             g = realizability.realize(seq)
     except (NotGraphicalError, NotCGraphicalError) as exc:
         if args.json:
-            _emit(json.dumps({"sequence": list(seq), "realized": False, "reason": str(exc)}))
+            _emit_json({"sequence": list(seq), "realized": False, "reason": str(exc)})
         else:
             print(f"not realizable: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -197,12 +202,7 @@ def _cmd_compare(args) -> int:
     y = _parse_seq(args, args.y)
     verdict = orders.compare(x, y, order=args.order)
     if args.json:
-        _emit(
-            json.dumps(
-                {"x": list(x), "y": list(y), "order": args.order, "verdict": verdict.value},
-                sort_keys=True,
-            )
-        )
+        _emit_json({"x": list(x), "y": list(y), "order": args.order, "verdict": verdict.value})
     else:
         _emit(verdict.value)
     return EXIT_OK
@@ -225,7 +225,7 @@ def _cmd_construct(args) -> int:
         if args.emit in ("graph", "both"):
             _emit_graph_json(payload, g)
         else:
-            _emit(json.dumps(payload, sort_keys=True))
+            _emit_json(payload)
         return EXIT_OK
     if args.emit in ("seq", "both"):
         _emit(format_sequence(seq))
@@ -240,7 +240,7 @@ def _cmd_maximal(args) -> int:
     if cap > maximal.enumeration_cap(args.oracle):
         _note(args, f"note: enumeration cap overridden to n <= {cap}")
     if args.json:
-        _emit(json.dumps(report.to_dict(), sort_keys=True))
+        _emit_json(report.to_dict())
         return EXIT_OK
     head, body = report.format_text(full=args.full).split("\n", 1)
     _note(args, head)
@@ -255,20 +255,17 @@ def _cmd_decompose(args) -> int:
         chain = orders.decompose_into_basic_transfers(x, y)
     except (NotMajorizedError, SumMismatchError) as exc:
         if args.json:
-            _emit(json.dumps({"decomposable": False, "reason": str(exc)}))
+            _emit_json({"decomposable": False, "reason": str(exc)})
         else:
             print(f"not decomposable: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     if args.json:
-        _emit(
-            json.dumps(
-                {
-                    "decomposable": True,
-                    "start": list(chain.start),
-                    "steps": [[t.from_rank, t.to_rank] for t in chain.steps],
-                },
-                sort_keys=True,
-            )
+        _emit_json(
+            {
+                "decomposable": True,
+                "start": list(chain.start),
+                "steps": [[t.from_rank, t.to_rank] for t in chain.steps],
+            }
         )
     else:
         for t in chain.steps:
@@ -281,7 +278,7 @@ def _cmd_lorenz(args) -> int:
     if args.nonnormalized:
         pts = orders.nonnormalized_lorenz_points(seq)
         if args.json:
-            _emit(json.dumps({"sequence": list(seq), "points": [list(p) for p in pts]}))
+            _emit_json({"sequence": list(seq), "points": [list(p) for p in pts]})
         elif args.csv:
             _emit("x,y\n" + "\n".join(f"{j},{s}" for j, s in pts))
         else:
@@ -290,17 +287,14 @@ def _cmd_lorenz(args) -> int:
         return EXIT_OK
     curve = orders.lorenz_curve(seq)
     if args.json:
-        _emit(
-            json.dumps(
-                {
-                    "sequence": list(seq),
-                    "points": [
-                        [f"{fx.numerator}/{fx.denominator}", f"{fy.numerator}/{fy.denominator}"]
-                        for fx, fy in curve.points
-                    ],
-                },
-                sort_keys=True,
-            )
+        _emit_json(
+            {
+                "sequence": list(seq),
+                "points": [
+                    [f"{fx.numerator}/{fx.denominator}", f"{fy.numerator}/{fy.denominator}"]
+                    for fx, fy in curve.points
+                ],
+            }
         )
     elif args.csv:
         _emit(curve.to_csv())

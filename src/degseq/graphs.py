@@ -2,9 +2,11 @@
 
 Vertices are dense integers 0..n-1. A SimpleGraph never mutates: the
 public edits (add_edge, remove_edge, two_swap) each return a new graph.
-All traversals visit neighbors in ascending index order so outputs are
-reproducible. Edges come out in ascending (u, v) order from each vertex's
-ascending list of larger neighbors, in O(m) plus sorting those short lists.
+Shortest paths come from a BFS that visits neighbors in ascending index
+order, so outputs are reproducible. Connectivity, component labels and
+the first edge on a cycle all come from one union-find pass. Edges come
+out in ascending (u, v) order from each vertex's ascending list of larger
+neighbors, in O(m) plus sorting those short lists.
 
 Algorithms that edit one graph many times (the realizations and the
 rewiring chains in `realizability`) instead work on a mutable adjacency,
@@ -18,7 +20,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import (
     EdgeExistsError,
@@ -99,12 +101,13 @@ def degree_sequence(g: SimpleGraph) -> DegreeSequence:
 
 def is_connected(g: SimpleGraph) -> bool:
     """One component; a single vertex counts as connected."""
-    return max(component_labels(g)) == 0
+    return _connected(g._adjacency)
 
 
 def component_labels(g: SimpleGraph) -> list[int]:
     """Component id per vertex, ids assigned in ascending first-vertex order."""
-    return _labels(g._adjacency)
+    ids: dict[int, int] = {}
+    return [ids.setdefault(r, len(ids)) for r in _components(g._adjacency)[0]]
 
 
 def find_path(g: SimpleGraph, i: int, j: int) -> VertexPath:
@@ -190,26 +193,45 @@ def _unlink(adj: Adjacency, u: int, v: int) -> None:
     adj[v].remove(u)
 
 
-def _labels(adj) -> list[int]:
-    """Component id per vertex, ids assigned in ascending first-vertex order."""
-    label = [-1] * len(adj)
-    cid = 0
-    for s in range(len(adj)):
-        if label[s] != -1:
-            continue
-        label[s] = cid
-        queue = deque([s])
-        while queue:
-            for w in adj[queue.popleft()]:
-                if label[w] == -1:
-                    label[w] = cid
-                    queue.append(w)
-        cid += 1
-    return label
+def _components(adj) -> tuple[list[int], Optional[Edge]]:
+    """Root per vertex (the smallest vertex of its component) and the
+    lexicographically first edge that lies on a cycle, or None on a forest.
+
+    One union-find pass with path halving (Tarjan, J. ACM 22(2), 1975)
+    joins the edges (u, v), u < v, in descending lexicographic order. It
+    reads only the neighbors v > u of each u, so adj may also hold just
+    those. An edge whose ends are already joined closes a cycle whose
+    other edges come before it in the pass, so all are larger: it is the
+    smallest edge of that cycle. Conversely, the smallest edge of any
+    cycle C is closed, since the rest of C comes first and joins its ends.
+    So the first edge on any cycle, which is the smallest edge of its
+    cycle, is the smallest closing edge: the last one the pass meets.
+
+    When the pass reaches u, the edges met so far join only vertices above
+    u, so u's set has root u until u is done, and each join hangs the
+    other root, which is larger, below u.
+    """
+    n = len(adj)
+    parent = list(range(n))  # parent[v] <= v, so each root is its component's minimum
+    cycle = None
+    for u in range(n - 1, -1, -1):
+        for v in reversed(adj[u]):
+            if v < u:
+                break
+            r = v
+            while parent[r] != r:  # path halving
+                parent[r] = r = parent[parent[r]]
+            if r == u:
+                cycle = (u, v)
+            else:
+                parent[r] = u
+    for v in range(n):  # a parent below v already points at its root
+        parent[v] = parent[parent[v]]
+    return parent, cycle
 
 
 def _connected(adj) -> bool:
-    return max(_labels(adj)) == 0
+    return not any(_components(adj)[0])
 
 
 def _path(adj, i: int, j: int) -> VertexPath:
@@ -232,51 +254,6 @@ def _path(adj, i: int, j: int) -> VertexPath:
     while path[-1] != i:
         path.append(parent[path[-1]])
     return tuple(reversed(path))
-
-
-def _bridges(adj: Adjacency) -> tuple[list[int], set[Edge]]:
-    """Component labels (as `_labels`) and the set of bridges, in one DFS.
-
-    Iterative Tarjan (Inf. Process. Lett. 2(6), 1974): the tree edge to
-    child w is a bridge iff no back edge from w's subtree reaches w's
-    parent or above, i.e. low[w] > disc[parent]. O(n + m).
-    """
-    n = len(adj)
-    label = [-1] * n
-    disc = [0] * n
-    low = [0] * n
-    bridges: set[Edge] = set()
-    clock = 0
-    cid = -1
-    for s in range(n):
-        if label[s] != -1:
-            continue
-        cid += 1
-        label[s] = cid
-        disc[s] = low[s] = clock
-        clock += 1
-        stack = [(s, -1, iter(adj[s]))]
-        while stack:
-            u, parent, it = stack[-1]
-            for w in it:
-                if w == parent:
-                    continue
-                if label[w] == -1:
-                    label[w] = cid
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    stack.append((w, u, iter(adj[w])))
-                    break
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
-            else:
-                stack.pop()
-                if parent != -1:
-                    if low[u] < low[parent]:
-                        low[parent] = low[u]
-                    if low[u] > disc[parent]:
-                        bridges.add(_norm(u, parent))
-    return label, bridges
 
 
 # -- text formats ------------------------------------------------------------

@@ -12,8 +12,9 @@ ways, the set of degree sequences realized by connected graphs:
   a branch when deg[i] is 0, when a later vertex already has a larger
   degree, or when the edges still to place exceed what the later vertices
   can take with each capped at deg[i]; it adds (i, j) only while deg[i] is
-  below deg[i-1]. Connectivity is tested once per new degree vector, and
-  the oracle never consults Erdős–Gallai;
+  below deg[i-1]. Connectivity is tested once per new degree vector, by a
+  union-find pass over the chosen pairs, and the oracle never consults
+  Erdős–Gallai;
 * partitions oracle: every positive non-increasing length-n sequence with
   the right total, keeping the ones passing the Erdős–Gallai test together
   with the connectivity-feasibility conditions (that filter IS the
@@ -41,6 +42,7 @@ from .errors import (
     OracleMismatchError,
     OutOfRangeError,
 )
+from .graphs import _connected
 from .orders import DegreeSequence, format_sequence, majorized
 from .realizability import erdos_gallai
 
@@ -77,20 +79,6 @@ def bounded_partitions(
         yield from rec(total, length, max_part, [])
 
 
-def _connected_masks(adj: list[int], n: int) -> bool:
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        frontier = adj[v] & ~seen
-        while frontier:
-            bit = frontier & -frontier
-            seen |= bit
-            stack.append(bit.bit_length() - 1)
-            frontier ^= bit
-    return seen == (1 << n) - 1
-
-
 def _check_nd(n: int, d: int, cap: int) -> None:
     if n < 2 or n > cap:
         raise OutOfRangeError(f"n={n} outside 2..{cap}")
@@ -101,21 +89,15 @@ def _check_nd(n: int, d: int, cap: int) -> None:
 @lru_cache(maxsize=None)
 def _sequences_by_graphs(n: int, d: int) -> frozenset[DegreeSequence]:
     deg = [0] * n
-    above: list[tuple[int, ...]] = [()] * n  # the later neighbours chosen for i
+    above: list[tuple[int, ...]] = [()] * n  # the later neighbours chosen for i, ascending
     confirmed: set[tuple[int, ...]] = set()
 
     def block(i: int, left: int) -> None:
         # the pairs (k, i) with k < i are decided; pick i's later neighbours
         if i == n - 1:
             key = tuple(deg)
-            if left == 0 and deg[i] and key not in confirmed:
-                adj = [0] * n
-                for u in range(i):
-                    for v in above[u]:
-                        adj[u] |= 1 << v
-                        adj[v] |= 1 << u
-                if _connected_masks(adj, n):
-                    confirmed.add(key)
+            if left == 0 and deg[i] and key not in confirmed and _connected(above):
+                confirmed.add(key)
             return
         later = range(i + 1, n)
         rest = deg[i + 1 :]

@@ -36,7 +36,7 @@ from .graphs import (
     Edge,
     SimpleGraph,
     _adjacency_lists,
-    _bridges,
+    _components,
     _connected,
     _freeze,
     _link,
@@ -456,38 +456,30 @@ def realize(x: DegreeSequence) -> SimpleGraph:
     return SimpleGraph(len(x), frozenset(_greedy_edges(x)))
 
 
-def _first_cycle_edge(adj: Adjacency, bridges: set[Edge]) -> Edge:
-    """Lexicographically first non-bridge edge; exists whenever some
-    component carries a cycle."""
-    for u, nbrs in enumerate(adj):
-        for v in nbrs:
-            if v > u and (u, v) not in bridges:
-                return (u, v)
-    raise InternalInconsistencyError("no cycle edge in a graph that must have one")
-
-
 def realize_connected(x: DegreeSequence) -> SimpleGraph:
     """Connected realization via degree-preserving swaps.
 
     Starts from the greedy realization and repeatedly swaps the
-    lexicographically first cycle (non-bridge) edge {a,b} against the
-    first edge {c,d} of another component for {a,c},{b,d}, which merges
-    the two components without touching any degree. Feasibility is exactly
-    the operational c-graphicality test. The swaps edit one mutable
-    adjacency, and each merge runs one bridge-finding DFS, O(n + m).
+    lexicographically first edge {a,b} on a cycle against the first edge
+    {c,d} of another component for {a,c},{b,d}, which merges the two
+    components without touching any degree. Feasibility is exactly the
+    operational c-graphicality test. The swaps edit one mutable adjacency,
+    and each merge runs one union-find pass over it, near-linear in m.
     """
     x = DegreeSequence(x)
     if not is_c_graphical(x):
         raise NotCGraphicalError(f"{format_sequence(x)} is not c-graphical")
     adj = _adjacency_lists(len(x), _greedy_edges(x))
     while True:
-        labels, bridges = _bridges(adj)
-        if max(labels) == 0:
+        roots, cycle = _components(adj)
+        if not any(roots):
             return _freeze(adj)
-        a, b = _first_cycle_edge(adj, bridges)
+        if cycle is None:
+            raise InternalInconsistencyError("no cycle edge in a graph that must have one")
+        a, b = cycle
         # every vertex has degree >= 1, so the first vertex outside a's
         # component starts the first edge outside it
-        c = next(v for v, lab in enumerate(labels) if lab != labels[a])
+        c = next(v for v, r in enumerate(roots) if r != roots[a])
         d = adj[c][0]
         _unlink(adj, a, b)
         _unlink(adj, c, d)
@@ -524,7 +516,7 @@ def _inverse_transfer_step(adj: Adjacency, order, keys, i: int, j: int, connecte
     P is still present and k is off P and now adjacent to vj, then any w
     still reaches vi (a simple w-vi path uses {vi, k} only as its last
     edge, so w reaches k, then vj, then vi along P). A disconnected graph
-    keeps the BFS, which tells when it becomes connected.
+    takes a union-find pass, which tells when it becomes connected.
     """
     n = len(adj)
     if not (1 <= i <= n and 1 <= j <= n) or not i < j:
@@ -581,8 +573,8 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
     undoes them on one mutable copy of the graph from the last to the
     first (apply_inverse_transfer's step), ranks sorted once and then kept
     by moving the two changed vertices. A connected step runs one shortest-
-    path BFS and an O(|path|) certificate, a disconnected one a connectivity
-    BFS. The result has degree sequence x and is connected whenever g_prime
+    path BFS and an O(|path|) certificate, a disconnected one a union-find
+    connectivity pass. The result has degree sequence x and is connected whenever g_prime
     is; both are checked once at the end.
     """
     x = DegreeSequence(x)

@@ -379,6 +379,37 @@ class TestLorenz:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "5,4,4,3,3,3"],
+        ["check", "4,4,3,2,1", "--method", "certificate"],
+        ["check", "4,3,3,3,1", "--method", "certificate"],
+        ["check", "5,4,4,3,3,3", "--method", "hh"],
+        ["check", "5,4,4,3,3,3", "--method", "constant"],
+        ["check", "4,3,3,3,1", "--connected"],
+        ["check", "2,1,1,1,1", "--connected"],
+        ["realize", "4,3,3,3,1"],
+        ["realize", "2,2,2,2,2,2", "--connected"],
+        ["realize", "3,1,1"],
+        ["realize", "2,1,1,1,1", "--connected"],
+        ["compare", "4,3,3,3,1", "5,3,3,2,1"],
+        ["construct", "5", "3"],
+        ["construct", "7", "3", "--prime", "--emit", "both"],
+        ["maximal", "5", "2"],
+        ["decompose", "2,2,2", "3,2,1"],
+        ["decompose", "3,2,1", "2,2,2"],
+        ["lorenz", "4,1,1,1,1"],
+        ["lorenz", "2,1,1", "--nonnormalized"],
+    ],
+    ids=" ".join,
+)
+def test_json_records_are_sorted_json_dumps(capsys, argv):
+    """Every --json record, refusals included, is json.dumps(..., sort_keys=True)."""
+    _, out, _ = run(capsys, *argv, "--json")
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
 def _naive_steps(trace: ReductionTrace, sep: str) -> list[tuple[str, str, str]]:
     return [
         (sep.join(map(str, step.before)), step.rule, sep.join(map(str, step.after)))

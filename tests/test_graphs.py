@@ -1,3 +1,6 @@
+import random
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +15,7 @@ from degseq.errors import (
 )
 from degseq.graphs import (
     SimpleGraph,
+    _components,
     add_edge,
     component_labels,
     degree_sequence,
@@ -217,3 +221,68 @@ class TestSortedEdges:
     def test_fixed_realizations(self, seq):
         for h in realizations(seq):
             self.assert_unchanged(h)
+
+
+# -- union-find connectivity against networkx ---------------------------------
+
+
+@st.composite
+def random_forests(draw, max_n: int = 80) -> SimpleGraph:
+    """Each vertex v > 0 joined to one earlier vertex with probability p."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.floats(0.0, 1.0))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    return SimpleGraph.from_edges(
+        n, [(rnd.randrange(v), v) for v in range(1, n) if rnd.random() < p]
+    )
+
+
+class TestComponents:
+    """`_components` gives each vertex the smallest vertex of its networkx
+    component as its root, and the smallest edge outside nx.bridges as the
+    cycle edge, on full adjacency and on the upper-neighbour tuples the
+    graphs oracle passes."""
+
+    @staticmethod
+    def networkx_view(g):
+        nx = pytest.importorskip("networkx")
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges)
+        comps = sorted(nx.connected_components(G), key=min)
+        roots = [0] * g.n
+        for comp in comps:
+            for v in comp:
+                roots[v] = min(comp)
+        bridges = {(min(e), max(e)) for e in nx.bridges(G)}
+        cycle = min(g.edges - bridges, default=None)
+        return G, comps, roots, cycle
+
+    def assert_matches(self, g):
+        G, comps, roots, cycle = self.networkx_view(g)
+        upper = [tuple(vs) for vs in g.upper_neighbors()]
+        assert _components(g._adjacency) == (roots, cycle)
+        assert _components(upper) == (roots, cycle)
+        label = {v: k for k, comp in enumerate(comps) for v in comp}
+        assert component_labels(g) == [label[v] for v in range(g.n)]
+        assert is_connected(g) == (len(comps) == 1)
+        return G
+
+    @settings(max_examples=120, deadline=None)
+    @given(random_graphs())
+    def test_random_graphs(self, g):
+        self.assert_matches(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_forests())
+    def test_forests_have_no_cycle_edge(self, g):
+        nx = pytest.importorskip("networkx")
+        assert nx.is_forest(self.assert_matches(g))
+        assert _components(g._adjacency)[1] is None
+
+    def test_two_triangles_and_a_path(self):
+        # cycles 0-1-2 and 4-5-6 joined by the bridges (2, 3), (3, 4)
+        edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6), (7, 8)]
+        g = SimpleGraph.from_edges(9, edges)
+        assert _components(g._adjacency) == ([0] * 7 + [7, 7], (0, 1))
+        self.assert_matches(g)

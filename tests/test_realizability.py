@@ -18,6 +18,7 @@ from degseq.errors import (
     UnderflowError,
 )
 from degseq import realizability
+from degseq.cli import main
 from degseq.graphs import SimpleGraph, degree_sequence, is_connected
 from degseq.orders import DegreeSequence, decompose_into_basic_transfers, min_tail_sum
 from degseq.realizability import (
@@ -446,6 +447,17 @@ class TestRealizeConnected:
                     g = realize_connected(seq)
                     assert is_connected(g)
                     assert degree_sequence(g) == seq
+
+    def test_missing_cycle_edge_is_an_internal_inconsistency(self, monkeypatch, capsys):
+        # a wrong "yes" from the feasibility test on two disjoint K2s, which
+        # have no edge to swap away, must surface, not loop or mis-merge
+        monkeypatch.setattr(
+            realizability, "is_c_graphical", lambda x: tuple(x) == (1, 1, 1, 1)
+        )
+        with pytest.raises(InternalInconsistencyError, match="no cycle edge"):
+            realize_connected(D((1, 1, 1, 1)))
+        assert main(["realize", "1,1,1,1", "--connected"]) == 3
+        assert "no cycle edge" in capsys.readouterr().err
 
 
 class TestInverseTransfer:
