@@ -17,11 +17,9 @@ text of json.dumps with sorted keys.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
-from bisect import bisect_left
 
 from . import constructions, maximal, orders, realizability
 from .errors import (
@@ -32,6 +30,7 @@ from .errors import (
     NotGraphicalError,
     NotMajorizedError,
     OracleMismatchError,
+    OutOfRangeError,
     SumMismatchError,
 )
 from .graphs import to_dot, to_edge_list_text
@@ -41,6 +40,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# Most integers a trace prints unless --max-trace raises it: n² (hh) to 2n² for n entries
+TRACE_BUDGET = 100_000_000
 
 
 def _emit(text: str) -> None:
@@ -67,50 +69,35 @@ def _parse_seq(args, literal: str) -> DegreeSequence:
     return seq
 
 
-def _rendered_steps(trace: realizability.ReductionTrace, sep: str):
-    """Yield (before, rule, after) per step, sequences as text joined by sep.
-
-    Each of the n+1 sequences is rendered once, as step i's after and step
-    i+1's before. It is non-increasing and no step raises an entry above the
-    first head, so it is rendered one run of equal values at a time.
-    """
-    if not trace.steps:
-        return
-    texts = [sep + str(v) for v in range(trace.steps[0].before[0] + 1)]
-
-    def render(seq: DegreeSequence) -> str:
-        ascending, n, i, runs = seq[::-1], len(seq), 0, []
-        while i < n:  # the run of seq[i] ends before the first smaller entry
-            end = n - bisect_left(ascending, seq[i], 0, n - i)
-            runs.append(texts[seq[i]] * (end - i))
-            i = end
-        return "".join(runs)[len(sep) :]
-
-    before = render(trace.steps[0].before)
-    for step in trace.steps:
-        after = render(step.after)
-        yield before, step.rule, after
+def _rendered_steps(states, rules, sep: str):
+    """Yield (before, rule, after) per step of a realizability._reduction
+    chain, each sequence rendered once from its runs of equal values, joined
+    by sep. No step raises an entry above the first head."""
+    texts = [sep + str(v) for v in range(states[0][0][0] + 1)]
+    before = "".join([texts[v] * c for v, c in states[0]])[len(sep) :]
+    for rule, runs in zip(rules, states[1:]):
+        after = "".join([texts[v] * c for v, c in runs])[len(sep) :]
+        yield before, rule, after
         before = after
 
 
-def _print_trace(trace: realizability.ReductionTrace) -> None:
-    for before, rule, after in _rendered_steps(trace, ","):
+def _print_trace(outcome: str, states, rules) -> None:
+    for before, rule, after in _rendered_steps(states, rules, ","):
         _emit(f"  {before} -[{rule}]-> {after}")
-    _emit(f"  {trace.outcome}")
+    _emit(f"  {outcome}")
 
 
-def _emit_trace_verdict_json(verdict: realizability.Verdict) -> None:
-    """Write json.dumps(verdict.to_dict(), sort_keys=True) and a newline
-    for a verdict whose certificate is a trace: the steps one by one from
-    the rendered sequences, the rest of the record from to_dict.
+def _emit_trace_verdict_json(verdict: realizability.Verdict, outcome: str, states, rules) -> None:
+    """Write json.dumps(verdict.to_dict(), sort_keys=True) and a newline for
+    the verdict with the reduction trace (outcome, states, rules) as its
+    certificate: the steps one by one from their runs, the rest from to_dict.
     """
-    trace = verdict.certificate
-    record = json.dumps(dataclasses.replace(verdict, certificate=None).to_dict(), sort_keys=True)
+    record = json.dumps(verdict.to_dict(), sort_keys=True)
     head, tail = record.split('"certificate": null', 1)
     write = sys.stdout.write
-    write(f'{head}"certificate": {{"kind": "trace", "outcome": {json.dumps(trace.outcome)}, ')
+    write(f'{head}"certificate": {{"kind": "trace", "outcome": {json.dumps(outcome)}, ')
     write('"steps": [')
-    for i, (before, rule, after) in enumerate(_rendered_steps(trace, ", ")):
+    for i, (before, rule, after) in enumerate(_rendered_steps(states, rules, ", ")):
         write(
             f'{", " if i else ""}{{"after": [{after}], "before": [{before}], '
             f'"rule": {json.dumps(rule)}}}'
@@ -130,17 +117,20 @@ def _emit_graph_json(payload: dict, g) -> None:
 def _cmd_check(args) -> int:
     seq = _parse_seq(args, args.sequence)
     method = args.method
-    certificate = None
+    certificate = trace = None
     c_graphical = realizability.is_c_graphical(seq) if args.connected else None
     if c_graphical:  # implies graphical; the realization is printed, so no trace is built
         graphical, certificate = True, realizability.RealizationCertificate.from_graph(
             realizability.realize_connected(seq)
         )
-    elif method == "hh":
-        graphical, certificate = realizability.havel_hakimi_trace(seq)
-    elif method == "constant":
-        verdict = realizability.reduce_to_constant(seq)
-        graphical, certificate = verdict.graphical, verdict.certificate
+    elif method in ("hh", "constant"):  # the trace is printed from its runs
+        budget = max(TRACE_BUDGET, args.max_trace or 0)
+        graphical, *trace, printed = realizability._reduction(seq, method == "constant", budget)
+        if printed > budget:
+            raise OutOfRangeError(
+                f"the {method} trace would print {printed} integers, over the budget of "
+                f"{budget}; --max-trace {printed} prints it"
+            )
     else:  # eg, certificate
         graphical = realizability.erdos_gallai(seq)
         if method == "certificate" and not graphical:
@@ -151,8 +141,8 @@ def _cmd_check(args) -> int:
     verdict = realizability.Verdict(seq, graphical, c_graphical, method, certificate)
     inconclusive = method == "certificate" and certificate is None
 
-    if args.json and isinstance(certificate, realizability.ReductionTrace):
-        _emit_trace_verdict_json(verdict)
+    if args.json and trace:
+        _emit_trace_verdict_json(verdict, *trace)
     elif args.json:
         payload = verdict.to_dict()
         if inconclusive:
@@ -163,8 +153,8 @@ def _cmd_check(args) -> int:
         _emit(f"graphical: {'yes' if graphical else 'no'} (method: {method})")
         if args.connected:
             _emit(f"c-graphical: {'yes' if c_graphical else 'no'}")
-        if isinstance(certificate, realizability.ReductionTrace):
-            _print_trace(certificate)
+        if trace:
+            _print_trace(*trace)
         elif isinstance(certificate, realizability.NonGraphicalWitness):
             _emit(f"witness: {format_sequence(certificate.witness)} (d={certificate.d})")
         elif isinstance(certificate, realizability.RealizationCertificate):
@@ -324,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="eg",
         help="deciding procedure (default: eg)",
     )
+    p.add_argument("--max-trace", type=int, help=f"raise the {TRACE_BUDGET:,}-integer trace cap")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("realize", parents=[common], help="construct a realization")

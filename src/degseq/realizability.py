@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import neg
+from itertools import chain, groupby, repeat, starmap
 from typing import Optional, Union
 
 from .constructions import hub_fill_sequence, max_added_edges
@@ -226,22 +226,102 @@ def erdos_gallai(x: DegreeSequence) -> bool:
     return sum(x) % 2 == 0 and erdos_gallai_violation(x) is None
 
 
-def _lower_prefix(vals: list[int], count: int) -> None:
-    """Subtract one from the first count entries of vals, keeping it sorted.
+Runs = list[tuple[int, int]]  # (value, count): values strictly decreasing, counts positive
 
-    vals is non-increasing and vals[count - 1] >= 1. The entries equal to
-    v = vals[count - 1] form a tie block that may run past position count;
-    lowering the rightmost copies of v in that block instead of the
-    leftmost ones gives the same multiset already in non-increasing order.
-    O(count) Python work and two binary searches, no re-sort.
+
+def _runs(x: DegreeSequence) -> Runs:
+    return [(v, sum(1 for _ in group)) for v, group in groupby(x)]
+
+
+def _expand(runs: Runs) -> DegreeSequence:
+    return DegreeSequence._from_sorted(chain.from_iterable(starmap(repeat, runs)))
+
+
+def _push(out: Runs, v: int, c: int) -> None:  # append (v, c), merged into an equal last run
+    if out and out[-1][0] == v:
+        out[-1] = (v, out[-1][1] + c)
+    else:
+        out.append((v, c))
+
+
+def _reduce_runs(runs: Runs, j: int, links: int, keep: bool) -> Optional[Runs]:
+    """Take one entry v out of run j, subtract one from the links >= 1
+    largest remaining entries, and put v - links back if keep; None when
+    one of those entries is zero. O(r) for r runs: the last lowered run is
+    split, its unlowered part first (the same multiset as lowering its
+    rightmost copies), and only that part and the first run below the
+    lowered ones can meet an equal neighbour; the rest is one slice copy.
     """
-    if count == 0:
-        return
-    v = vals[count - 1]
-    start = bisect_left(vals, -v, 0, count - 1, key=neg)
-    end = bisect_right(vals, -v, count - 1, key=neg)
-    vals[:start] = [u - 1 for u in vals[:start]]
-    vals[end - (count - start) : end] = [v - 1] * (count - start)
+    v, c = runs[j]
+    rest = list(runs)
+    rest[j : j + 1] = [(v, c - 1)] * (c > 1)
+    out, left = [], links
+    for value, count in rest:  # breaks: rest holds at least links entries
+        if count >= left:
+            break
+        out.append((value - 1, count))
+        left -= count
+    if value == 0:  # the smallest lowered entry
+        return None
+    i = len(out)
+    if count > left:
+        _push(out, value, count - left)
+    out.append((value - 1, left))
+    if i + 1 < len(rest):
+        _push(out, *rest[i + 1])
+        out += rest[i + 2 :]
+    if keep:
+        p = bisect_left(out, links - v, key=lambda run: -run[0])
+        if p < len(out) and out[p][0] == v - links:
+            out[p] = (v - links, out[p][1] + 1)
+        else:
+            out.insert(p, (v - links, 1))
+    return out
+
+
+def _reduction(x: DegreeSequence, constant: bool, keep: float = float("inf")):
+    """The head reduction of x, or with constant the reduce-to-constant one,
+    on runs: (graphical, outcome, states, rules, printed). states[i] holds
+    the runs of the chain's i-th sequence and rules[i] the rule from it to
+    states[i + 1], kept while printed <= keep; printed counts the integers
+    of every step's before and after, exactly what a printed trace holds.
+    O(r) per step for r distinct values: O(N·r) time, O(r) memory at keep=0.
+    """
+    runs, n = _runs(x), len(x)
+    states, rules, printed = [runs], [], 0
+    # step while the head fits and the runs are not yet one (constant) or all zero (hh)
+    while (h := runs[0][0]) <= n - 1 and (len(runs) > 1 if constant else h > 0):
+        links = min(h - runs[-1][0], n - 1) if constant else h
+        nxt = _reduce_runs(runs, 0, links, constant)
+        if nxt is None:
+            outcome = f"reject: not enough positive entries for head {h}"
+            return False, outcome, states, rules, printed
+        printed += 2 * n - (not constant)
+        if printed <= keep:
+            states.append(nxt)
+            rules.append(f"reduce(k=1,n={links})" if constant else "hh")
+        runs, n = nxt, n - (not constant)
+    if h > n - 1:
+        graphical, outcome = False, f"reject: head {h} exceeds {n - 1}"
+    elif not constant:
+        graphical, outcome = True, "all-zero"
+    elif (n * h) % 2:
+        graphical, outcome = False, f"constant a={h}, N*a={n * h} odd: not graphical"
+    elif not erdos_gallai(x):
+        graphical, outcome = False, (
+            f"constant a={h}, N*a={n * h} even, but exact inequalities "
+            "refute graphicality (partial reductions are one-way)"
+        )
+    else:
+        graphical, outcome = True, f"constant a={h}, N*a={n * h} even, a<={n - 1}"
+    return graphical, outcome, states, rules, printed
+
+
+def _trace(x: DegreeSequence, constant: bool) -> tuple[bool, ReductionTrace]:
+    """_reduction's verdict and steps, each sequence expanded once."""
+    graphical, outcome, states, rules, _ = _reduction(x, constant)
+    seqs = [x, *map(_expand, states[1:])]
+    return graphical, ReductionTrace(tuple(map(TraceStep, seqs, rules, seqs[1:])), outcome)
 
 
 def hh_reduce(x: DegreeSequence) -> DegreeSequence:
@@ -251,7 +331,7 @@ def hh_reduce(x: DegreeSequence) -> DegreeSequence:
     within the tie block of the last lowered entry, the rightmost copies
     are the ones lowered. Raises HeadTooLargeError when h > N-1 and
     UnderflowError when fewer than h of the remaining entries are
-    positive; both conditions imply the input is not graphical.
+    positive; both conditions imply the input is not graphical. O(N).
     """
     x = DegreeSequence(x)
     n = len(x)
@@ -262,35 +342,18 @@ def hh_reduce(x: DegreeSequence) -> DegreeSequence:
         raise ValueError("cannot reduce a single-entry sequence")
     if h > 0 and x[h] == 0:
         raise UnderflowError(f"only {sum(1 for v in x[1:] if v > 0)} positive entries for head {h}")
-    vals = list(x)
-    del vals[0]
-    _lower_prefix(vals, h)
-    return DegreeSequence._from_sorted(vals)
+    return _expand(_reduce_runs(_runs(x), 0, h, False)) if h else DegreeSequence(x[1:])
 
 
 def havel_hakimi_trace(x: DegreeSequence) -> tuple[bool, ReductionTrace]:
-    """Iterate the head reduction to a verdict, recording every step."""
-    cur = DegreeSequence(x)
-    steps: list[TraceStep] = []
-    while True:
-        n = len(cur)
-        if cur[0] == 0:
-            return True, ReductionTrace(tuple(steps), "all-zero")
-        if cur[0] > n - 1:
-            return False, ReductionTrace(tuple(steps), f"reject: head {cur[0]} exceeds {n - 1}")
-        try:
-            nxt = hh_reduce(cur)
-        except UnderflowError:
-            return False, ReductionTrace(
-                tuple(steps), f"reject: not enough positive entries for head {cur[0]}"
-            )
-        steps.append(TraceStep(cur, "hh", nxt))
-        cur = nxt
+    """Iterate the head reduction to a verdict, recording every step: O(r)
+    per step for r distinct values, plus the Θ(N) sequence it records."""
+    return _trace(DegreeSequence(x), False)
 
 
 def havel_hakimi(x: DegreeSequence) -> bool:
-    ok, _ = havel_hakimi_trace(x)
-    return ok
+    """The head reduction's verdict, no step kept: O(N·r) time, O(r) memory."""
+    return _reduction(DegreeSequence(x), False, keep=0)[0]
 
 
 def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequence:
@@ -301,7 +364,7 @@ def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequenc
     directions. The order is kept without a re-sort: the others are lowered
     as in hh_reduce, the rightmost entries of the last tie block first,
     which gives the same multiset as breaking ties leftmost, and the
-    lowered rank-k entry goes back in by binary search.
+    lowered rank-k entry goes back into its run. O(N).
     """
     x = DegreeSequence(x)
     n = len(x)
@@ -311,14 +374,11 @@ def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequenc
         raise BadCountError(f"n={n_links} outside 1..{x[k - 1]} for rank {k}")
     if n_links > n - 1:
         raise BadCountError(f"n={n_links} exceeds the {n - 1} other entries")
-    others = list(x)
-    del others[k - 1]
-    if others[n_links - 1] == 0:
+    runs = _runs(x)
+    reduced = _reduce_runs(runs, [v for v, _ in runs].index(x[k - 1]), n_links, True)
+    if reduced is None:
         raise UnderflowError("a targeted entry is already zero")
-    _lower_prefix(others, n_links)
-    lowered = x[k - 1] - n_links
-    others.insert(bisect_left(others, -lowered, key=neg), lowered)
-    return DegreeSequence._from_sorted(others)
+    return _expand(reduced)
 
 
 def reduce_to_constant(x: DegreeSequence) -> Verdict:
@@ -336,37 +396,11 @@ def reduce_to_constant(x: DegreeSequence) -> Verdict:
     (2,2,1,1) but is itself not graphical: re-attaching the removed links
     collides with existing edges), so a constant-rule accept is confirmed
     against the exact inequalities and overridden when refuted; the trace
-    outcome records which rule decided.
+    outcome records which rule decided. O(r + N) per step, r distinct values.
     """
     x = DegreeSequence(x)
-    steps: list[TraceStep] = []
-    cur = x
-    while True:
-        n = len(cur)
-        if cur[0] > n - 1:
-            graphical, outcome = False, f"reject: head {cur[0]} exceeds {n - 1}"
-            break
-        if cur[0] == cur[-1]:
-            a = cur[0]
-            if (n * a) % 2:
-                graphical, outcome = False, f"constant a={a}, N*a={n * a} odd: not graphical"
-            elif not erdos_gallai(x):
-                graphical, outcome = False, (
-                    f"constant a={a}, N*a={n * a} even, but exact inequalities "
-                    "refute graphicality (partial reductions are one-way)"
-                )
-            else:
-                graphical, outcome = True, f"constant a={a}, N*a={n * a} even, a<={n - 1}"
-            break
-        n_links = min(cur[0] - cur[-1], n - 1)
-        try:
-            nxt = generalized_reduce(cur, 1, n_links)
-        except UnderflowError:
-            graphical, outcome = False, f"reject: not enough positive entries for head {cur[0]}"
-            break
-        steps.append(TraceStep(cur, f"reduce(k=1,n={n_links})", nxt))
-        cur = nxt
-    return Verdict(x, graphical, None, "constant-reduction", ReductionTrace(tuple(steps), outcome))
+    graphical, trace = _trace(x, True)
+    return Verdict(x, graphical, None, "constant-reduction", trace)
 
 
 def non_graphical_certificate(x: DegreeSequence) -> Optional[NonGraphicalWitness]:

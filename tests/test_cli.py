@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import degree_sequences, random_graphs
-from degseq.cli import _rendered_steps, main
+from test_pinned_outputs import random_graph_degrees
+from degseq.cli import TRACE_BUDGET, _rendered_steps, main
 from degseq.constructions import (
     build_clique_fill,
     build_hub_fill,
@@ -27,6 +29,8 @@ from degseq.realizability import (
     ReductionTrace,
     TraceStep,
     Verdict,
+    _reduction,
+    _runs,
     erdos_gallai,
     havel_hakimi_trace,
     is_c_graphical,
@@ -418,8 +422,16 @@ def _naive_steps(trace: ReductionTrace, sep: str) -> list[tuple[str, str, str]]:
 
 
 class TestRenderedSteps:
-    """`_rendered_steps` renders by runs of equal values; the text must equal
-    sep.join(map(str, s)) for every sequence of the trace."""
+    """`_rendered_steps` renders each sequence from its runs of equal values;
+    the text must equal sep.join(map(str, s)) for every sequence of the trace."""
+
+    @staticmethod
+    def rendered(trace: ReductionTrace, sep: str) -> list[tuple[str, str, str]]:
+        if not trace.steps:
+            return []
+        seqs = [trace.steps[0].before, *(step.after for step in trace.steps)]
+        rules = [step.rule for step in trace.steps]
+        return list(_rendered_steps([_runs(s) for s in seqs], rules, sep))
 
     @given(st.lists(degree_sequences(max_len=60, max_value=150), min_size=1, max_size=5))
     def test_random_non_increasing_sequences(self, seqs):
@@ -428,15 +440,17 @@ class TestRenderedSteps:
         steps = tuple(TraceStep(a, f"r{i}", b) for i, (a, b) in enumerate(zip(seqs, seqs[1:])))
         trace = ReductionTrace.from_dict(ReductionTrace(steps, "done").to_dict())
         for sep in (",", ", "):
-            assert list(_rendered_steps(trace, sep)) == _naive_steps(trace, sep)
+            assert self.rendered(trace, sep) == _naive_steps(trace, sep)
 
     @given(degree_sequences(max_len=40, max_value=120))
     def test_reduction_traces_rebuilt_from_dict(self, seq):
         traces = [havel_hakimi_trace(seq)[1], reduce_to_constant(seq).certificate]
-        for trace in traces:
+        for constant, trace in zip((False, True), traces):
+            _, _, states, rules, _ = _reduction(seq, constant)
             rebuilt = ReductionTrace.from_dict(trace.to_dict())
             for sep in (",", ", "):
-                assert list(_rendered_steps(rebuilt, sep)) == _naive_steps(trace, sep)
+                assert list(_rendered_steps(states, rules, sep)) == _naive_steps(trace, sep)
+                assert self.rendered(rebuilt, sep) == _naive_steps(trace, sep)
 
 
 class TestStdin:
@@ -572,3 +586,89 @@ class TestOneVerdictPath:
         data = json.loads(out)
         assert data["graphical"] is True and data["c_graphical"] is True
         assert data["certificate"]["kind"] == "realization"
+
+    @pytest.mark.parametrize("method", ["hh", "constant"])
+    def test_trace_builds_no_sequence_per_step(self, check, monkeypatch, method):
+        """The trace is printed from runs of equal values: no DegreeSequence
+        per step and no library reduction, in text and JSON, with and
+        without --connected; the output stays the same."""
+        literals = ["5,4,4,3,3,3", "4,4,3,3,2,2,1,1,0,0", "3,3,3,1", "6,6,6,6,6,6,6,2,2,1"]
+        literals.append(",".join(map(str, [40] * 10 + [12] * 60 + [3] * 100 + [0] * 30)))
+        runs = [
+            (literal, ["--method", method, *extra])
+            for literal in literals
+            for extra in ([], ["--json"], ["--connected"], ["--json", "--connected"])
+        ]
+        expected = [check(literal, *flags) for literal, flags in runs]
+
+        def forbidden(*args):
+            raise AssertionError("built a sequence for a trace step")
+
+        monkeypatch.setattr(DegreeSequence, "_from_sorted", forbidden)
+        for name in ("hh_reduce", "generalized_reduce", "havel_hakimi_trace", "reduce_to_constant"):
+            monkeypatch.setattr(f"degseq.realizability.{name}", forbidden)
+        assert [check(literal, *flags) for literal, flags in runs] == expected
+        assert sum("-[" in out for _, out, _ in expected) == 2 * len(literals) - 1
+
+
+def _printed_integers(out: str) -> int:
+    """Integers in the steps of a text trace: two comma-joined sequences per line."""
+    count = 0
+    for line in out.splitlines():
+        before, sep, rest = line.strip().partition(" -[")
+        if sep:
+            count += before.count(",") + rest.split("]-> ")[1].count(",") + 2
+    return count
+
+
+class TestTraceBudget:
+    """`check --method hh|constant` counts the integers its trace would
+    print before printing any and refuses a trace over the budget, unless
+    --max-trace raises it."""
+
+    LITERALS = ["5,4,4,3,3,3", "4,4,3,3,2,2,1,1,0,0", "4,4,4,1,1", "7,7,7,7,7,7,7,2,2,2"]
+
+    @pytest.mark.parametrize("method", ["hh", "constant"])
+    def test_refusal_names_the_count_and_max_trace_prints(self, capsys, monkeypatch, method):
+        for literal in self.LITERALS:
+            monkeypatch.setattr("degseq.cli.TRACE_BUDGET", TRACE_BUDGET)
+            full = run(capsys, "check", literal, "--method", method)
+            printed = _printed_integers(full[1])
+            assert printed > 0
+            monkeypatch.setattr("degseq.cli.TRACE_BUDGET", printed)
+            assert run(capsys, "check", literal, "--method", method) == full
+            monkeypatch.setattr("degseq.cli.TRACE_BUDGET", printed - 1)
+            connected = is_c_graphical(DegreeSequence(map(int, literal.split(","))))
+            for extra in ([], ["--json"], [] if connected else ["--connected"]):
+                code, out, err = run(capsys, "check", literal, "--method", method, *extra)
+                assert (code, out) == (2, ""), (literal, extra)
+                assert f"would print {printed} integers" in err
+                assert f"--max-trace {printed} prints it" in err
+            code, out, err = run(
+                capsys, "check", literal, "--method", method, "--max-trace", str(printed)
+            )
+            assert (code, out, err) == full
+
+    def test_refusal_at_the_default_budget(self, capsys, monkeypatch):
+        # hh on 20,000 ones takes 10,000 steps from lengths 20,000 down to
+        # 10,001; a step from length m prints 2m - 1 integers, 3 * 10^8 in all
+        monkeypatch.setattr(sys, "stdin", io.StringIO(",".join(["1"] * 20_000)))
+        code, out, err = run(capsys, "check", "-", "--method", "hh", "--quiet")
+        assert (code, out) == (2, "")
+        assert "would print 300000000 integers, over the budget of 100000000" in err
+
+    def test_default_budget_leaves_tenfold_headroom(self):
+        """The 2,000-entry sequence of the CI workflow's trace step, and a
+        1,200-entry one as dense as the benchmark's largest `hh` op, print
+        at most a tenth of the budget under either method."""
+        rng = random.Random(1)
+        n = 2000
+        deg = [0] * n
+        for u, v in {tuple(sorted(rng.sample(range(n), 2))) for _ in range(4 * n)}:
+            deg[u] += 1
+            deg[v] += 1
+        ci = DegreeSequence(deg)
+        bench = random_graph_degrees(random.Random(0), 1200, 0.05)
+        for seq in (ci, DegreeSequence(bench)):
+            for constant in (False, True):
+                assert 10 * _reduction(seq, constant, keep=0)[4] <= TRACE_BUDGET

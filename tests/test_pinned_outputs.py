@@ -374,3 +374,77 @@ def test_reductions_match_on_long_tie_blocks(x, data):
     assert_reduction_pinned(generalized_reduce, legacy.generalized_reduce, x, 1, links)
     assert_reduction_pinned(generalized_reduce, legacy.generalized_reduce, x, k, links)
     assert_reduction_pinned(generalized_reduce, legacy.generalized_reduce, x, 1, min(x[0], n - 1))
+
+
+def random_graph_degrees(rnd, n, p):
+    deg = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rnd.random() < p:
+                deg[u] += 1
+                deg[v] += 1
+    return sorted(deg, reverse=True)
+
+
+def threshold_degrees(dominating):
+    """Degrees of the threshold graph in which vertex v joins every earlier
+    vertex when dominating[v] holds and none otherwise."""
+    deg = [0] * len(dominating)
+    for v, joins in enumerate(dominating):
+        if joins:
+            for u in range(v):
+                deg[u] += 1
+            deg[v] = v
+    return sorted(deg, reverse=True)
+
+
+def test_check_traces_match_at_n_1200():
+    """A 1,200-entry random-graph sequence (45 distinct values), the size of
+    the largest `check --method hh` op of the benchmark, and the same with
+    its 400 smallest entries replaced by a zero tail, so the `--connected`
+    answer is no and the trace is printed."""
+    graph = random_graph_degrees(random.Random(1200), 1200, 0.05)
+    for vals in (graph, graph[:800] + [0] * 400):
+        for flags in CHECK_FLAGS:
+            assert_check_pinned(",".join(map(str, vals)), flags)
+
+
+def test_check_traces_match_on_dense_threshold_graphs():
+    """About one distinct value per entry, the most runs a sequence can have."""
+    rnd = random.Random(3)
+    alternating = threshold_degrees([v % 2 == 1 for v in range(300)])
+    dense = threshold_degrees([rnd.random() < 0.7 for _ in range(300)])
+    assert len(set(alternating)) == 299
+    for vals in (alternating, dense, alternating[:-1] + [alternating[-1] + 1]):
+        for flags in CHECK_FLAGS:
+            assert_check_pinned(",".join(map(str, vals)), flags)
+
+
+def test_check_traces_match_on_long_zero_tails():
+    rnd = random.Random(4)
+    graph = random_graph_degrees(rnd, 100, 0.1)
+    for vals in (
+        graph + [0] * 400,
+        [3] * 40 + [0] * 260,
+        [5, 5, 1, 1, 1] + [0] * 300,  # not enough positive entries for the head
+        [1, 1] + [0] * 500,
+    ):
+        for flags in CHECK_FLAGS:
+            assert_check_pinned(",".join(map(str, vals)), flags)
+
+
+def test_check_traces_match_when_the_head_lowers_whole_runs():
+    """The head h equals the total count of the runs right after it, so the
+    first step lowers them whole and splits no run; the run after them is
+    sometimes one below the last lowered value and merges with it."""
+    rnd = random.Random(5)
+    for _ in range(40):
+        counts = [rnd.randint(1, 6) for _ in range(rnd.randint(1, 5))]
+        h = sum(counts)
+        values = sorted(rnd.sample(range(1, h + 1), len(counts)), reverse=True)
+        lowered = [v for v, c in zip(values, counts) for _ in range(c)]
+        below = values[-1] - 1
+        tail = [rnd.choice((below, rnd.randint(0, below))) for _ in range(rnd.randint(0, 12))]
+        vals = sorted([h, *lowered, *tail], reverse=True)
+        for flags in CHECK_FLAGS:
+            assert_check_pinned(",".join(map(str, vals)), flags)

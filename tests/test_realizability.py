@@ -199,6 +199,17 @@ class TestHavelHakimi:
             for seq in all_nonincreasing(n, 7):
                 assert havel_hakimi(seq) == erdos_gallai(seq), seq
 
+    def test_4_regular_100000(self):
+        """The verdict keeps no step, so a chain of 80,000 steps over
+        10^5 entries needs O(distinct values) memory, not Θ(n²)."""
+        x = D([4] * 100_000)
+        assert havel_hakimi(x) is True
+        assert havel_hakimi(x) == erdos_gallai(x)
+        pushed = D([5] + [4] * 99_998 + [3])
+        assert havel_hakimi(pushed) == erdos_gallai(pushed)
+        lonely = D([5] + [1] * 3 + [0] * 99_996)
+        assert havel_hakimi(lonely) is False and erdos_gallai(lonely) is False
+
 
 class TestGeneralizedReduce:
     def test_head_reduction_by_two(self):
