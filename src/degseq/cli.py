@@ -43,6 +43,9 @@ EXIT_INTERNAL = 3
 
 # Most integers a trace prints unless --max-trace raises it: n² (hh) to 2n² for n entries
 TRACE_BUDGET = 100_000_000
+# A longer admitted trace is counted without its states and then built again, so a
+# refusal holds the runs of at most this many printed integers
+TRACE_KEPT = 4_000_000
 
 
 def _emit(text: str) -> None:
@@ -69,35 +72,24 @@ def _parse_seq(args, literal: str) -> DegreeSequence:
     return seq
 
 
-def _rendered_steps(states, rules, sep: str):
-    """Yield (before, rule, after) per step of a realizability._reduction
-    chain, each sequence rendered once from its runs of equal values, joined
-    by sep. No step raises an entry above the first head."""
-    texts = [sep + str(v) for v in range(states[0][0][0] + 1)]
-    before = "".join([texts[v] * c for v, c in states[0]])[len(sep) :]
-    for rule, runs in zip(rules, states[1:]):
-        after = "".join([texts[v] * c for v, c in runs])[len(sep) :]
-        yield before, rule, after
-        before = after
-
-
-def _print_trace(outcome: str, states, rules) -> None:
-    for before, rule, after in _rendered_steps(states, rules, ","):
+def _print_trace(trace) -> None:
+    for before, rule, after in realizability._rendered_steps(trace.states, trace.rules, ","):
         _emit(f"  {before} -[{rule}]-> {after}")
-    _emit(f"  {outcome}")
+    _emit(f"  {trace.outcome}")
 
 
-def _emit_trace_verdict_json(verdict: realizability.Verdict, outcome: str, states, rules) -> None:
+def _emit_trace_verdict_json(verdict: realizability.Verdict, trace) -> None:
     """Write json.dumps(verdict.to_dict(), sort_keys=True) and a newline for
-    the verdict with the reduction trace (outcome, states, rules) as its
-    certificate: the steps one by one from their runs, the rest from to_dict.
+    the verdict with the realizability._reduction chain trace as its
+    certificate: the steps one by one as rendered, the rest from to_dict.
     """
     record = json.dumps(verdict.to_dict(), sort_keys=True)
     head, tail = record.split('"certificate": null', 1)
     write = sys.stdout.write
-    write(f'{head}"certificate": {{"kind": "trace", "outcome": {json.dumps(outcome)}, ')
+    write(f'{head}"certificate": {{"kind": "trace", "outcome": {json.dumps(trace.outcome)}, ')
     write('"steps": [')
-    for i, (before, rule, after) in enumerate(_rendered_steps(states, rules, ", ")):
+    steps = realizability._rendered_steps(trace.states, trace.rules, ", ")
+    for i, (before, rule, after) in enumerate(steps):
         write(
             f'{", " if i else ""}{{"after": [{after}], "before": [{before}], '
             f'"rule": {json.dumps(rule)}}}'
@@ -125,12 +117,16 @@ def _cmd_check(args) -> int:
         )
     elif method in ("hh", "constant"):  # the trace is printed from its runs
         budget = max(TRACE_BUDGET, args.max_trace or 0)
-        graphical, *trace, printed = realizability._reduction(seq, method == "constant", budget)
+        constant = method == "constant"
+        trace = realizability._reduction(seq, constant, min(budget, TRACE_KEPT))
+        graphical, printed = trace.graphical, trace.printed
         if printed > budget:
             raise OutOfRangeError(
                 f"the {method} trace would print {printed} integers, over the budget of "
                 f"{budget}; --max-trace {printed} prints it"
             )
+        if printed > TRACE_KEPT:
+            trace = realizability._reduction(seq, constant)
     else:  # eg, certificate
         graphical = realizability.erdos_gallai(seq)
         if method == "certificate" and not graphical:
@@ -141,8 +137,8 @@ def _cmd_check(args) -> int:
     verdict = realizability.Verdict(seq, graphical, c_graphical, method, certificate)
     inconclusive = method == "certificate" and certificate is None
 
-    if args.json and trace:
-        _emit_trace_verdict_json(verdict, *trace)
+    if args.json and trace is not None:
+        _emit_trace_verdict_json(verdict, trace)
     elif args.json:
         payload = verdict.to_dict()
         if inconclusive:
@@ -153,8 +149,8 @@ def _cmd_check(args) -> int:
         _emit(f"graphical: {'yes' if graphical else 'no'} (method: {method})")
         if args.connected:
             _emit(f"c-graphical: {'yes' if c_graphical else 'no'}")
-        if trace:
-            _print_trace(*trace)
+        if trace is not None:
+            _print_trace(trace)
         elif isinstance(certificate, realizability.NonGraphicalWitness):
             _emit(f"witness: {format_sequence(certificate.witness)} (d={certificate.d})")
         elif isinstance(certificate, realizability.RealizationCertificate):

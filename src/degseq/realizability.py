@@ -14,9 +14,11 @@ time.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain, groupby, repeat, starmap
+from itertools import accumulate, pairwise
+from operator import mul, neg
 from typing import Optional, Union
 
 from .constructions import hub_fill_sequence, max_added_edges
@@ -226,81 +228,120 @@ def erdos_gallai(x: DegreeSequence) -> bool:
     return sum(x) % 2 == 0 and erdos_gallai_violation(x) is None
 
 
-Runs = list[tuple[int, int]]  # (value, count): values strictly decreasing, counts positive
+# (values, counts, ends): values strictly decreasing, counts positive, and
+# ends[k] the position after run k, counted from where the first step began
+Runs = tuple[list[int], list[int], list[int]]
 
 
 def _runs(x: DegreeSequence) -> Runs:
-    return [(v, sum(1 for _ in group)) for v, group in groupby(x)]
+    """The runs of equal values of x, counted in one C-level pass."""
+    counts = Counter(x)  # keeps first-seen order, which is decreasing
+    return list(counts), list(counts.values()), list(accumulate(counts.values()))
 
 
-def _expand(runs: Runs) -> DegreeSequence:
-    return DegreeSequence._from_sorted(chain.from_iterable(starmap(repeat, runs)))
-
-
-def _push(out: Runs, v: int, c: int) -> None:  # append (v, c), merged into an equal last run
-    if out and out[-1][0] == v:
-        out[-1] = (v, out[-1][1] + c)
-    else:
-        out.append((v, c))
-
-
-def _reduce_runs(runs: Runs, j: int, links: int, keep: bool) -> Optional[Runs]:
-    """Take one entry v out of run j, subtract one from the links >= 1
-    largest remaining entries, and put v - links back if keep; None when
-    one of those entries is zero. O(r) for r runs: the last lowered run is
+def _lower(runs: Runs, j: int, links: int) -> Optional[tuple[Runs, tuple]]:
+    """Take one entry out of run j and subtract one from the links >= 1
+    largest remaining entries: the new runs and the split (i, a, v, c,
+    left), i.e. the first i runs (a entries) and left of the next c copies
+    of v are lowered; None when a lowered entry is zero. The run of v is
     split, its unlowered part first (the same multiset as lowering its
-    rightmost copies), and only that part and the first run below the
-    lowered ones can meet an equal neighbour; the rest is one slice copy.
-    """
-    v, c = runs[j]
-    rest = list(runs)
-    rest[j : j + 1] = [(v, c - 1)] * (c > 1)
-    out, left = [], links
-    for value, count in rest:  # breaks: rest holds at least links entries
-        if count >= left:
-            break
-        out.append((value - 1, count))
-        left -= count
-    if value == 0:  # the smallest lowered entry
+    rightmost copies); only that part and the run below can meet an equal
+    neighbour. One binary search, O(r) C-level list work for r runs and
+    one comprehension over the lowered runs."""
+    values, counts, ends = runs[0][:], runs[1][:], runs[2][:]
+    if counts[j] > 1:
+        counts[j] -= 1
+    else:
+        del values[j], counts[j], ends[j]
+    if j:  # run 0 keeps its start, the runs from j on end one earlier
+        ends[j:] = [e - 1 for e in ends[j:]]
+    start = ends[0] - counts[0]
+    i = bisect_left(ends, start + links)  # the remaining entries hold links or more
+    v, c = values[i], counts[i]
+    if v == 0:
         return None
-    i = len(out)
-    if count > left:
-        _push(out, value, count - left)
-    out.append((value - 1, left))
-    if i + 1 < len(rest):
-        _push(out, *rest[i + 1])
-        out += rest[i + 2 :]
-    if keep:
-        p = bisect_left(out, links - v, key=lambda run: -run[0])
-        if p < len(out) and out[p][0] == v - links:
-            out[p] = (v - links, out[p][1] + 1)
-        else:
-            out.insert(p, (v - links, 1))
+    left = start + links - ends[i] + c
+    head, head_counts, head_ends = [u - 1 for u in values[:i]], counts[:i], ends[:i]
+    if c > left and head and head[-1] == v:
+        head_counts[-1] += c - left
+        head_ends[-1] += c - left
+    elif c > left:
+        head.append(v)
+        head_counts.append(c - left)
+        head_ends.append(ends[i] - left)
+    head.append(v - 1)
+    head_counts.append(left)
+    head_ends.append(ends[i])
+    below = i + 1
+    if below < len(values) and values[below] == v - 1:
+        head_counts[-1] += counts[below]
+        head_ends[-1] = ends[below]
+        below += 1
+    runs = head + values[below:], head_counts + counts[below:], head_ends + ends[below:]
+    return runs, (i, links - left, v, c, left)
+
+
+def _insert(runs: Runs, u: int) -> None:  # one more entry u, in place
+    values, counts, ends = runs
+    p = bisect_left(values, -u, key=neg)
+    if p < len(values) and values[p] == u:
+        counts[p] += 1
+    else:
+        ends.insert(p, ends[p - 1] if p else ends[0] - counts[0])
+        values.insert(p, u)
+        counts.insert(p, 1)
+    ends[p:] = [e + 1 for e in ends[p:]]
+
+
+def _relisted(values: list[int], split: tuple, rest, skip: int) -> list[int]:
+    """The entries after a _lower step, given its new values and split and
+    the entries rest[skip:] it lowered: the whole lowered runs (their new
+    values when all are single), the split run, then rest's unchanged tail."""
+    i, a, v, c, left = split
+    out = values[:i] if a == i else [u - 1 for u in rest[skip : skip + a]]
+    out += [v] * (c - left) + [v - 1] * left
+    out += rest[skip + a + c :]
     return out
 
 
-def _reduction(x: DegreeSequence, constant: bool, keep: float = float("inf")):
+_Reduction = namedtuple("_Reduction", "graphical outcome states rules printed")
+
+
+def _reduction(
+    x: DegreeSequence, constant: bool, keep: float = float("inf"), flat: bool = False
+) -> _Reduction:
     """The head reduction of x, or with constant the reduce-to-constant one,
-    on runs: (graphical, outcome, states, rules, printed). states[i] holds
-    the runs of the chain's i-th sequence and rules[i] the rule from it to
-    states[i + 1], kept while printed <= keep; printed counts the integers
-    of every step's before and after, exactly what a printed trace holds.
-    O(r) per step for r distinct values: O(N·r) time, O(r) memory at keep=0.
+    on runs. states[i] is the chain's i-th sequence (its values and counts,
+    or with flat a DegreeSequence built from the one before) and rules[i]
+    the rule to states[i + 1]; both are emptied once printed, the integers
+    of every step's before and after, exceeds keep. A step costs
+    one binary search and O(r) C-level list work for r distinct values plus
+    a comprehension over its lowered runs; O(r) memory at keep=0.
     """
-    runs, n = _runs(x), len(x)
-    states, rules, printed = [runs], [], 0
+    runs, n, seq = _runs(x), len(x), x
+    states, rules, printed = [x if flat else runs[:2]], [], 0
     # step while the head fits and the runs are not yet one (constant) or all zero (hh)
-    while (h := runs[0][0]) <= n - 1 and (len(runs) > 1 if constant else h > 0):
-        links = min(h - runs[-1][0], n - 1) if constant else h
-        nxt = _reduce_runs(runs, 0, links, constant)
-        if nxt is None:
+    while (h := runs[0][0]) <= n - 1 and (len(runs[0]) > 1 if constant else h > 0):
+        links = min(h - runs[0][-1], n - 1) if constant else h
+        step = _lower(runs, 0, links)
+        if step is None:
             outcome = f"reject: not enough positive entries for head {h}"
-            return False, outcome, states, rules, printed
+            return _Reduction(False, outcome, states, rules, printed)
+        runs, split = step
+        if flat:
+            seq = _relisted(runs[0], split, seq, 1)
+        if constant:
+            _insert(runs, h - links)
+        if constant and flat:
+            seq.insert(bisect_left(seq, links - h, key=neg), h - links)
         printed += 2 * n - (not constant)
         if printed <= keep:
-            states.append(nxt)
+            states.append(DegreeSequence._from_sorted(seq) if flat else runs[:2])
             rules.append(f"reduce(k=1,n={links})" if constant else "hh")
-        runs, n = nxt, n - (not constant)
+        elif rules:  # over keep: no trace will be printed
+            states.clear()
+            rules.clear()
+        n -= not constant
     if h > n - 1:
         graphical, outcome = False, f"reject: head {h} exceeds {n - 1}"
     elif not constant:
@@ -314,14 +355,27 @@ def _reduction(x: DegreeSequence, constant: bool, keep: float = float("inf")):
         )
     else:
         graphical, outcome = True, f"constant a={h}, N*a={n * h} even, a<={n - 1}"
-    return graphical, outcome, states, rules, printed
+    return _Reduction(graphical, outcome, states, rules, printed)
+
+
+def _rendered_steps(states: list, rules: list[str], sep: str):
+    """Yield (before, rule, after) per step of a _reduction chain, each
+    sequence rendered once from its values and counts, entries joined by
+    sep. A chain with a step starts with a head below its length and no
+    step raises an entry, so the table of entry texts stays that short."""
+    if not rules:
+        return
+    texts = [sep + str(v) for v in range(states[0][0][0] + 1)].__getitem__
+    rendered = ("".join(map(mul, map(texts, v), c))[len(sep) :] for v, c, *_ in states)
+    for (before, after), rule in zip(pairwise(rendered), rules):
+        yield before, rule, after
 
 
 def _trace(x: DegreeSequence, constant: bool) -> tuple[bool, ReductionTrace]:
-    """_reduction's verdict and steps, each sequence expanded once."""
-    graphical, outcome, states, rules, _ = _reduction(x, constant)
-    seqs = [x, *map(_expand, states[1:])]
-    return graphical, ReductionTrace(tuple(map(TraceStep, seqs, rules, seqs[1:])), outcome)
+    """_reduction's verdict and steps, with DegreeSequences as states."""
+    red = _reduction(x, constant, flat=True)
+    steps = tuple(map(TraceStep, red.states, red.rules, red.states[1:]))
+    return red.graphical, ReductionTrace(steps, red.outcome)
 
 
 def hh_reduce(x: DegreeSequence) -> DegreeSequence:
@@ -342,7 +396,11 @@ def hh_reduce(x: DegreeSequence) -> DegreeSequence:
         raise ValueError("cannot reduce a single-entry sequence")
     if h > 0 and x[h] == 0:
         raise UnderflowError(f"only {sum(1 for v in x[1:] if v > 0)} positive entries for head {h}")
-    return _expand(_reduce_runs(_runs(x), 0, h, False)) if h else DegreeSequence(x[1:])
+    if h == 0:
+        return DegreeSequence._from_sorted(x[1:])
+    # the runs up to the end of the block of x[h], the last lowered entry
+    runs, split = _lower(_runs(x[: bisect_right(x, -x[h], key=neg)]), 0, h)
+    return DegreeSequence._from_sorted(_relisted(runs[0], split, x, 1))
 
 
 def havel_hakimi_trace(x: DegreeSequence) -> tuple[bool, ReductionTrace]:
@@ -374,11 +432,15 @@ def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequenc
         raise BadCountError(f"n={n_links} outside 1..{x[k - 1]} for rank {k}")
     if n_links > n - 1:
         raise BadCountError(f"n={n_links} exceeds the {n - 1} other entries")
-    runs = _runs(x)
-    reduced = _reduce_runs(runs, [v for v, _ in runs].index(x[k - 1]), n_links, True)
-    if reduced is None:
+    last = n_links - (n_links < k)  # the last lowered entry; the runs stop after its block
+    runs = _runs(x[: max(k, bisect_right(x, -x[last], key=neg))])
+    step = _lower(runs, runs[0].index(x[k - 1]), n_links)
+    if step is None:
         raise UnderflowError("a targeted entry is already zero")
-    return _expand(reduced)
+    others = _relisted(step[0][0], step[1], x[: k - 1] + x[k:], 0)
+    lowered = x[k - 1] - n_links
+    others.insert(bisect_left(others, -lowered, key=neg), lowered)
+    return DegreeSequence._from_sorted(others)
 
 
 def reduce_to_constant(x: DegreeSequence) -> Verdict:

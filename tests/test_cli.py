@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from conftest import degree_sequences, random_graphs
 from test_pinned_outputs import random_graph_degrees
-from degseq.cli import TRACE_BUDGET, _rendered_steps, main
+from degseq.cli import TRACE_BUDGET, main
 from degseq.constructions import (
     build_clique_fill,
     build_hub_fill,
@@ -30,6 +30,7 @@ from degseq.realizability import (
     TraceStep,
     Verdict,
     _reduction,
+    _rendered_steps,
     _runs,
     erdos_gallai,
     havel_hakimi_trace,
@@ -452,6 +453,11 @@ class TestRenderedSteps:
                 assert list(_rendered_steps(states, rules, sep)) == _naive_steps(trace, sep)
                 assert self.rendered(rebuilt, sep) == _naive_steps(trace, sep)
 
+    def test_chain_without_a_step_reads_no_runs(self):
+        """A stepless chain's head may be any input entry, 10^9 say; no
+        table of entry texts is built for it."""
+        assert list(_rendered_steps([None], [], ",")) == []
+
 
 class TestStdin:
     def test_check_reads_dash_from_stdin(self, capsys, monkeypatch):
@@ -656,6 +662,31 @@ class TestTraceBudget:
         code, out, err = run(capsys, "check", "-", "--method", "hh", "--quiet")
         assert (code, out) == (2, "")
         assert "would print 300000000 integers, over the budget of 100000000" in err
+
+    @pytest.mark.parametrize("method", ["hh", "constant"])
+    def test_trace_past_the_kept_states_is_built_again(self, capsys, monkeypatch, method):
+        """A trace longer than TRACE_KEPT is counted without its states,
+        then built once more for printing; the output does not change."""
+        keeps = []
+
+        def spy(seq, constant, keep=float("inf")):
+            keeps.append(keep)
+            return _reduction(seq, constant, keep)
+
+        for literal in self.LITERALS:
+            argvs = [["check", literal, "--method", method, *extra] for extra in ([], ["--json"])]
+            full = [run(capsys, *argv) for argv in argvs]
+            monkeypatch.setattr("degseq.cli.TRACE_KEPT", 1)
+            monkeypatch.setattr("degseq.realizability._reduction", spy)
+            keeps.clear()
+            assert [run(capsys, *argv) for argv in argvs] == full
+            assert keeps == [1, float("inf")] * 2
+            monkeypatch.undo()
+
+    def test_refusal_holds_no_states(self):
+        chain = _reduction(DegreeSequence([3] * 40), False, keep=100)
+        assert chain.printed > 100
+        assert chain.states == [] and chain.rules == []
 
     def test_default_budget_leaves_tenfold_headroom(self):
         """The 2,000-entry sequence of the CI workflow's trace step, and a

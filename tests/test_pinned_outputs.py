@@ -448,3 +448,10 @@ def test_check_traces_match_when_the_head_lowers_whole_runs():
         vals = sorted([h, *lowered, *tail], reverse=True)
         for flags in CHECK_FLAGS:
             assert_check_pinned(",".join(map(str, vals)), flags)
+
+
+def test_check_traces_match_when_the_head_exceeds_the_length():
+    """A chain without a step: the head alone rejects, however large it is."""
+    for literal in ("1000000000", "99999,1,1", "1000000000,1000000000,2", "7,1,1,1", "1,99999,2"):
+        for flags in CHECK_FLAGS:
+            assert_check_pinned(literal, flags)
