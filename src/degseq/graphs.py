@@ -117,6 +117,8 @@ def find_path(g: SimpleGraph, i: int, j: int) -> VertexPath:
     on a shortest path no two non-consecutive vertices are adjacent, which
     is what makes the rewiring pivot always exist.
     """
+    if not (0 <= i < g.n and 0 <= j < g.n):
+        raise ValueError(f"vertex pair ({i},{j}) outside vertex range")
     return _path(g._adjacency, i, j)
 
 

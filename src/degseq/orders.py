@@ -15,6 +15,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import (
@@ -57,12 +58,7 @@ class DegreeSequence(tuple):
 
     def prefix_sums(self) -> tuple[int, ...]:
         """Running totals (s_1, s_1+s_2, ...), length N."""
-        out = []
-        acc = 0
-        for v in self:
-            acc += v
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DegreeSequence({','.join(map(str, self))})"
@@ -198,22 +194,13 @@ def lorenz_curve(x: DegreeSequence) -> LorenzCurve:
     if total <= 0:
         raise ZeroSumError("Lorenz curve needs a positive total")
     n = len(x)
-    pts = [(Fraction(0), Fraction(0))]
-    acc = 0
-    for k, v in enumerate(x, start=1):
-        acc += v
-        pts.append((Fraction(k, n), Fraction(acc, total)))
-    return LorenzCurve(tuple(pts))
+    sums = enumerate(accumulate(x, initial=0))
+    return LorenzCurve(tuple((Fraction(k, n), Fraction(acc, total)) for k, acc in sums))
 
 
 def nonnormalized_lorenz_points(x: DegreeSequence) -> tuple[tuple[int, int], ...]:
     """Integer points (j, sum of the j largest entries) for j = 0..N."""
-    pts = [(0, 0)]
-    acc = 0
-    for j, v in enumerate(x, start=1):
-        acc += v
-        pts.append((j, acc))
-    return tuple(pts)
+    return tuple(enumerate(accumulate(x, initial=0)))
 
 
 # -- unit transfers --------------------------------------------------------

@@ -228,6 +228,26 @@ def erdos_gallai(x: DegreeSequence) -> bool:
     return sum(x) % 2 == 0 and erdos_gallai_violation(x) is None
 
 
+def _outcome(x: DegreeSequence, constant: bool, h: int, last: int, n: int) -> tuple[bool, str]:
+    """Verdict and outcome text of the head reduction of x, or with constant the
+    reduce-to-constant one, stopped at length n, head h and last entry last: a
+    step still due there underflowed, and a constant accept is checked on x."""
+    if h > n - 1:
+        return False, f"reject: head {h} exceeds {n - 1}"
+    if last < h if constant else h > 0:  # a step was due
+        return False, f"reject: not enough positive entries for head {h}"
+    if not constant:
+        return True, "all-zero"
+    if (n * h) % 2:
+        return False, f"constant a={h}, N*a={n * h} odd: not graphical"
+    if not erdos_gallai(x):
+        return False, (
+            f"constant a={h}, N*a={n * h} even, but exact inequalities "
+            "refute graphicality (partial reductions are one-way)"
+        )
+    return True, f"constant a={h}, N*a={n * h} even, a<={n - 1}"
+
+
 # (values, counts, ends): values strictly decreasing, counts positive, and
 # ends[k] the position after run k, counted from where the first step began
 Runs = tuple[list[int], list[int], list[int]]
@@ -239,22 +259,18 @@ def _runs(x: DegreeSequence) -> Runs:
     return list(counts), list(counts.values()), list(accumulate(counts.values()))
 
 
-def _lower(runs: Runs, j: int, links: int) -> Optional[tuple[Runs, tuple]]:
-    """Take one entry out of run j and subtract one from the links >= 1
-    largest remaining entries: the new runs and the split (i, a, v, c,
-    left), i.e. the first i runs (a entries) and left of the next c copies
-    of v are lowered; None when a lowered entry is zero. The run of v is
-    split, its unlowered part first (the same multiset as lowering its
-    rightmost copies); only that part and the run below can meet an equal
-    neighbour. One binary search, O(r) C-level list work for r runs and
-    one comprehension over the lowered runs."""
+def _lower(runs: Runs, links: int) -> Optional[Runs]:
+    """Take the head out and subtract one from the links >= 1 largest
+    remaining entries: the new runs, or None when a lowered entry is zero.
+    The run of the last lowered value v is split, its unlowered part first
+    (the same multiset as lowering its rightmost copies); only that part
+    and the run below can meet an equal neighbour. One binary search, O(r)
+    C-level list work for r runs and one comprehension over the lowered runs."""
     values, counts, ends = runs[0][:], runs[1][:], runs[2][:]
-    if counts[j] > 1:
-        counts[j] -= 1
+    if counts[0] > 1:
+        counts[0] -= 1
     else:
-        del values[j], counts[j], ends[j]
-    if j:  # run 0 keeps its start, the runs from j on end one earlier
-        ends[j:] = [e - 1 for e in ends[j:]]
+        del values[0], counts[0], ends[0]
     start = ends[0] - counts[0]
     i = bisect_left(ends, start + links)  # the remaining entries hold links or more
     v, c = values[i], counts[i]
@@ -277,8 +293,7 @@ def _lower(runs: Runs, j: int, links: int) -> Optional[tuple[Runs, tuple]]:
         head_counts[-1] += counts[below]
         head_ends[-1] = ends[below]
         below += 1
-    runs = head + values[below:], head_counts + counts[below:], head_ends + ends[below:]
-    return runs, (i, links - left, v, c, left)
+    return head + values[below:], head_counts + counts[below:], head_ends + ends[below:]
 
 
 def _insert(runs: Runs, u: int) -> None:  # one more entry u, in place
@@ -293,69 +308,37 @@ def _insert(runs: Runs, u: int) -> None:  # one more entry u, in place
     ends[p:] = [e + 1 for e in ends[p:]]
 
 
-def _relisted(values: list[int], split: tuple, rest, skip: int) -> list[int]:
-    """The entries after a _lower step, given its new values and split and
-    the entries rest[skip:] it lowered: the whole lowered runs (their new
-    values when all are single), the split run, then rest's unchanged tail."""
-    i, a, v, c, left = split
-    out = values[:i] if a == i else [u - 1 for u in rest[skip : skip + a]]
-    out += [v] * (c - left) + [v - 1] * left
-    out += rest[skip + a + c :]
-    return out
-
-
 _Reduction = namedtuple("_Reduction", "graphical outcome states rules printed")
 
 
-def _reduction(
-    x: DegreeSequence, constant: bool, keep: float = float("inf"), flat: bool = False
-) -> _Reduction:
+def _reduction(x: DegreeSequence, constant: bool, keep: float = float("inf")) -> _Reduction:
     """The head reduction of x, or with constant the reduce-to-constant one,
-    on runs. states[i] is the chain's i-th sequence (its values and counts,
-    or with flat a DegreeSequence built from the one before) and rules[i]
-    the rule to states[i + 1]; both are emptied once printed, the integers
-    of every step's before and after, exceeds keep. A step costs
-    one binary search and O(r) C-level list work for r distinct values plus
-    a comprehension over its lowered runs; O(r) memory at keep=0.
+    on runs, for `check` and havel_hakimi. states[i] is the chain's i-th
+    sequence as its values and counts and rules[i] the rule to states[i + 1];
+    both are emptied once printed, the integers of every step's before and
+    after, exceeds keep. A step costs one binary search and O(r) C-level
+    list work for r distinct values plus a comprehension over its lowered
+    runs; O(r) memory at keep=0.
     """
-    runs, n, seq = _runs(x), len(x), x
-    states, rules, printed = [x if flat else runs[:2]], [], 0
-    # step while the head fits and the runs are not yet one (constant) or all zero (hh)
-    while (h := runs[0][0]) <= n - 1 and (len(runs[0]) > 1 if constant else h > 0):
+    runs, n = _runs(x), len(x)
+    states, rules, printed = [runs[:2]], [], 0
+    # step while the head fits and the sequence is not yet constant (constant) or all zero (hh)
+    while (h := runs[0][0]) <= n - 1 and (runs[0][-1] < h if constant else h > 0):
         links = min(h - runs[0][-1], n - 1) if constant else h
-        step = _lower(runs, 0, links)
-        if step is None:
-            outcome = f"reject: not enough positive entries for head {h}"
-            return _Reduction(False, outcome, states, rules, printed)
-        runs, split = step
-        if flat:
-            seq = _relisted(runs[0], split, seq, 1)
+        if (lowered := _lower(runs, links)) is None:
+            break
+        runs = lowered
         if constant:
             _insert(runs, h - links)
-        if constant and flat:
-            seq.insert(bisect_left(seq, links - h, key=neg), h - links)
         printed += 2 * n - (not constant)
         if printed <= keep:
-            states.append(DegreeSequence._from_sorted(seq) if flat else runs[:2])
+            states.append(runs[:2])
             rules.append(f"reduce(k=1,n={links})" if constant else "hh")
         elif rules:  # over keep: no trace will be printed
             states.clear()
             rules.clear()
         n -= not constant
-    if h > n - 1:
-        graphical, outcome = False, f"reject: head {h} exceeds {n - 1}"
-    elif not constant:
-        graphical, outcome = True, "all-zero"
-    elif (n * h) % 2:
-        graphical, outcome = False, f"constant a={h}, N*a={n * h} odd: not graphical"
-    elif not erdos_gallai(x):
-        graphical, outcome = False, (
-            f"constant a={h}, N*a={n * h} even, but exact inequalities "
-            "refute graphicality (partial reductions are one-way)"
-        )
-    else:
-        graphical, outcome = True, f"constant a={h}, N*a={n * h} even, a<={n - 1}"
-    return _Reduction(graphical, outcome, states, rules, printed)
+    return _Reduction(*_outcome(x, constant, h, runs[0][-1], n), states, rules, printed)
 
 
 def _rendered_steps(states: list, rules: list[str], sep: str):
@@ -371,11 +354,27 @@ def _rendered_steps(states: list, rules: list[str], sep: str):
         yield before, rule, after
 
 
-def _trace(x: DegreeSequence, constant: bool) -> tuple[bool, ReductionTrace]:
-    """_reduction's verdict and steps, with DegreeSequences as states."""
-    red = _reduction(x, constant, flat=True)
-    steps = tuple(map(TraceStep, red.states, red.rules, red.states[1:]))
-    return red.graphical, ReductionTrace(steps, red.outcome)
+def havel_hakimi(x: DegreeSequence) -> bool:
+    """The head reduction's verdict, no step kept: O(N·r) time, O(r) memory."""
+    return _reduction(DegreeSequence(x), False, keep=0)[0]
+
+
+def _lower_prefix(vals: list[int], count: int) -> None:
+    """Subtract one from the first count entries of vals, keeping it sorted.
+
+    vals is non-increasing and vals[count - 1] >= 1. The entries equal to
+    v = vals[count - 1] form a tie block that may run past position count;
+    lowering the rightmost copies of v in that block instead of the
+    leftmost ones gives the same multiset already in non-increasing order.
+    O(count) Python work and two binary searches, no re-sort.
+    """
+    if count == 0:
+        return
+    v = vals[count - 1]
+    start = bisect_left(vals, -v, 0, count - 1, key=neg)
+    end = bisect_right(vals, -v, count - 1, key=neg)
+    vals[:start] = [u - 1 for u in vals[:start]]
+    vals[end - (count - start) : end] = [v - 1] * (count - start)
 
 
 def hh_reduce(x: DegreeSequence) -> DegreeSequence:
@@ -396,22 +395,9 @@ def hh_reduce(x: DegreeSequence) -> DegreeSequence:
         raise ValueError("cannot reduce a single-entry sequence")
     if h > 0 and x[h] == 0:
         raise UnderflowError(f"only {sum(1 for v in x[1:] if v > 0)} positive entries for head {h}")
-    if h == 0:
-        return DegreeSequence._from_sorted(x[1:])
-    # the runs up to the end of the block of x[h], the last lowered entry
-    runs, split = _lower(_runs(x[: bisect_right(x, -x[h], key=neg)]), 0, h)
-    return DegreeSequence._from_sorted(_relisted(runs[0], split, x, 1))
-
-
-def havel_hakimi_trace(x: DegreeSequence) -> tuple[bool, ReductionTrace]:
-    """Iterate the head reduction to a verdict, recording every step: O(r)
-    per step for r distinct values, plus the Θ(N) sequence it records."""
-    return _trace(DegreeSequence(x), False)
-
-
-def havel_hakimi(x: DegreeSequence) -> bool:
-    """The head reduction's verdict, no step kept: O(N·r) time, O(r) memory."""
-    return _reduction(DegreeSequence(x), False, keep=0)[0]
+    vals = list(x[1:])
+    _lower_prefix(vals, h)
+    return DegreeSequence._from_sorted(vals)
 
 
 def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequence:
@@ -422,7 +408,7 @@ def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequenc
     directions. The order is kept without a re-sort: the others are lowered
     as in hh_reduce, the rightmost entries of the last tie block first,
     which gives the same multiset as breaking ties leftmost, and the
-    lowered rank-k entry goes back into its run. O(N).
+    lowered rank-k entry goes back in by binary search. O(N).
     """
     x = DegreeSequence(x)
     n = len(x)
@@ -432,15 +418,36 @@ def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequenc
         raise BadCountError(f"n={n_links} outside 1..{x[k - 1]} for rank {k}")
     if n_links > n - 1:
         raise BadCountError(f"n={n_links} exceeds the {n - 1} other entries")
-    last = n_links - (n_links < k)  # the last lowered entry; the runs stop after its block
-    runs = _runs(x[: max(k, bisect_right(x, -x[last], key=neg))])
-    step = _lower(runs, runs[0].index(x[k - 1]), n_links)
-    if step is None:
+    others = list(x)
+    del others[k - 1]
+    if others[n_links - 1] == 0:
         raise UnderflowError("a targeted entry is already zero")
-    others = _relisted(step[0][0], step[1], x[: k - 1] + x[k:], 0)
+    _lower_prefix(others, n_links)
     lowered = x[k - 1] - n_links
     others.insert(bisect_left(others, -lowered, key=neg), lowered)
     return DegreeSequence._from_sorted(others)
+
+
+def _trace(x: DegreeSequence, constant: bool) -> tuple[bool, ReductionTrace]:
+    """The head reduction chain of x (hh_reduce), or with constant the
+    reduce-to-constant one (generalized_reduce at rank 1), every step kept."""
+    steps, cur = [], x
+    while (h := cur[0]) <= len(cur) - 1 and (cur[-1] < h if constant else h > 0):
+        links = min(h - cur[-1], len(cur) - 1) if constant else h
+        try:
+            after = generalized_reduce(cur, 1, links) if constant else hh_reduce(cur)
+        except UnderflowError:
+            break
+        steps.append(TraceStep(cur, f"reduce(k=1,n={links})" if constant else "hh", after))
+        cur = after
+    graphical, outcome = _outcome(x, constant, h, cur[-1], len(cur))
+    return graphical, ReductionTrace(tuple(steps), outcome)
+
+
+def havel_hakimi_trace(x: DegreeSequence) -> tuple[bool, ReductionTrace]:
+    """Iterate hh_reduce to a verdict, recording every step: O(N) list work
+    per step, the Θ(N) sequence it records."""
+    return _trace(DegreeSequence(x), False)
 
 
 def reduce_to_constant(x: DegreeSequence) -> Verdict:
@@ -458,7 +465,7 @@ def reduce_to_constant(x: DegreeSequence) -> Verdict:
     (2,2,1,1) but is itself not graphical: re-attaching the removed links
     collides with existing edges), so a constant-rule accept is confirmed
     against the exact inequalities and overridden when refuted; the trace
-    outcome records which rule decided. O(r + N) per step, r distinct values.
+    outcome records which rule decided. O(N) per step, one generalized_reduce.
     """
     x = DegreeSequence(x)
     graphical, trace = _trace(x, True)

@@ -87,6 +87,12 @@ class TestFindPath:
         with pytest.raises(ValueError):
             find_path(star(3), 1, 1)
 
+    @pytest.mark.parametrize("i, j", [(-1, 1), (9, 1), (0, 7)])
+    def test_vertex_outside_the_range_rejected(self, i, j):
+        g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="outside vertex range"):
+            find_path(g, i, j)
+
 
 class TestEdits:
     def test_add_then_remove_is_identity(self):

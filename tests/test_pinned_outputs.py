@@ -11,6 +11,8 @@ It also keeps the re-sorting Havel–Hakimi and constant reductions and the
 hh|constant` must print the same stdout and stderr and exit with the same
 code, in text and JSON, with and without `--connected`: exhaustively over
 non-increasing sequences with n <= 7, and on random inputs up to n = 300.
+The library's `havel_hakimi_trace` and `reduce_to_constant` must return
+equal traces and verdicts on the same inputs.
 """
 
 import contextlib
@@ -32,11 +34,13 @@ from degseq.realizability import (
     apply_inverse_transfer,
     erdos_gallai,
     generalized_reduce,
+    havel_hakimi_trace,
     hh_reduce,
     is_c_graphical,
     realize,
     realize_connected,
     realize_via_domination,
+    reduce_to_constant,
 )
 
 D = DegreeSequence
@@ -455,3 +459,49 @@ def test_check_traces_match_when_the_head_exceeds_the_length():
     for literal in ("1000000000", "99999,1,1", "1000000000,1000000000,2", "7,1,1,1", "1,99999,2"):
         for flags in CHECK_FLAGS:
             assert_check_pinned(literal, flags)
+
+
+# -- library traces against the re-sorting ones -----------------------------
+
+
+def assert_traces_pinned(vals):
+    x = D(vals)
+    assert outcome(havel_hakimi_trace, x) == outcome(legacy.havel_hakimi_trace, x), vals
+    assert outcome(reduce_to_constant, x) == outcome(legacy.reduce_to_constant, x), vals
+
+
+def test_library_traces_every_sequence_up_to_7():
+    """Every non-increasing sequence with n <= 7 and entries <= n."""
+    count = 0
+    for n in range(1, 8):
+        for x in nonincreasing(n, n):
+            assert_traces_pinned(x)
+            count += 1
+    assert count == 4706
+
+
+def test_library_traces_match_on_the_large_check_inputs():
+    """The inputs of the pinned `check` tests above: a 1,200-entry
+    random-graph sequence with and without a zero tail, dense threshold
+    sequences, long zero tails, and heads larger than the length."""
+    graph = random_graph_degrees(random.Random(1200), 1200, 0.05)
+    rnd = random.Random(3)
+    alternating = threshold_degrees([v % 2 == 1 for v in range(300)])
+    dense = threshold_degrees([rnd.random() < 0.7 for _ in range(300)])
+    small = random_graph_degrees(random.Random(4), 100, 0.1)
+    for vals in (
+        graph,
+        graph[:800] + [0] * 400,
+        alternating,
+        dense,
+        alternating[:-1] + [alternating[-1] + 1],
+        small + [0] * 400,
+        [3] * 40 + [0] * 260,
+        [5, 5, 1, 1, 1] + [0] * 300,
+        [1, 1] + [0] * 500,
+        [1000000000],
+        [99999, 1, 1],
+        [1000000000, 1000000000, 2],
+        [7, 1, 1, 1],
+    ):
+        assert_traces_pinned(vals)

@@ -375,6 +375,51 @@ class TestReduceToConstant:
         assert verdict.certificate.outcome == outcome
 
 
+
+class TestReductionsOnPlainLists:
+    """The sequence-returning reductions step on plain lists; the runs of
+    equal values serve `check --method hh|constant` and `havel_hakimi` only."""
+
+    SEQS = [
+        (5, 4, 4, 3, 3, 3),
+        (4, 4, 3, 3, 2, 2, 1, 1, 0, 0),
+        (3, 3, 3, 1),
+        (6, 6, 6, 6, 6, 6, 6, 2, 2, 1),
+        (40,) * 10 + (12,) * 60 + (3,) * 100 + (0,) * 30,
+        (2, 1, 0),
+        (4, 1, 1, 1),
+    ]
+
+    @classmethod
+    def results(cls):
+        out = []
+        for x in map(D, cls.SEQS):
+            n = len(x)
+            out += [havel_hakimi_trace(x), reduce_to_constant(x)]
+            for fn, args in (
+                (hh_reduce, (x,)),
+                (generalized_reduce, (x, 1, max(1, min(x[0], n - 1)))),
+                (generalized_reduce, (x, 2, 1)),
+                (generalized_reduce, (x, n, 1)),
+            ):
+                try:
+                    out.append(fn(*args))
+                except Exception as exc:  # compared, not handled
+                    out.append((type(exc), str(exc)))
+        return out
+
+    def test_library_reductions_build_no_runs(self, monkeypatch):
+        expected = self.results()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built runs of equal values for a library reduction")
+
+        for name in ("_runs", "_lower", "_insert", "_reduction"):
+            monkeypatch.setattr(f"degseq.realizability.{name}", forbidden)
+        assert self.results() == expected
+        assert sum(isinstance(r, D) for r in expected) >= 2 * len(self.SEQS)
+
+
 class TestNonGraphicalCertificate:
     def test_witness_found(self):
         w = non_graphical_certificate(D((4, 4, 3, 2, 1)))
