@@ -16,15 +16,19 @@ ways, the set of degree sequences realized by connected graphs:
   union-find pass over the chosen pairs, and the oracle never consults
   Erdős–Gallai;
 * partitions oracle: every positive non-increasing length-n sequence with
-  the right total, keeping the ones passing the Erdős–Gallai test together
-  with the connectivity-feasibility conditions (that filter IS the
-  operational c-graphicality criterion, so agreement of the two oracles
-  validates it against ground truth).
+  the right total that passes the Erdős–Gallai test (with a total of at
+  least 2(n-1), a positive graphical sequence has a connected realization,
+  so that test IS the operational c-graphicality criterion, and agreement
+  of the two oracles validates it against ground truth). The search drops
+  a prefix once its own Erdős–Gallai inequality fails for every tail.
 
 A mismatch raises OracleMismatchError and is always a bug, never a warning.
 On top of the enumeration sit the maximal elements of the prefix-sum order,
 the poset-based c-graphicality test, and checks that the maximal sets match
-the canonical star-augmentation families at small d.
+the canonical star-augmentation families at small d. The maximal elements
+are generated directly as the connected threshold sequences, one per
+partition of d into distinct parts of at most n-2, and each image they
+serve is checked against them at run time.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from typing import Iterator
 
 from .constructions import clique_fill_sequence, hub_fill_sequence, max_added_edges
@@ -44,7 +49,7 @@ from .errors import (
 )
 from .graphs import _connected
 from .orders import DegreeSequence, format_sequence, majorized
-from .realizability import erdos_gallai
+from .realizability import erdos_gallai_violation
 
 # The graphs oracle's cost is its search over degree-ordered labelings. On a
 # 2-vCPU Xeon VM (Python 3.11), (8, 3) takes 0.6 s, (8, 6) 1.8 s and a full
@@ -123,17 +128,39 @@ def _sequences_by_graphs(n: int, d: int) -> frozenset[DegreeSequence]:
             deg[i] = top - size
 
     block(0, n - 1 + d)
-    return frozenset(DegreeSequence(k) for k in confirmed)
+    return frozenset(DegreeSequence._from_sorted(k) for k in confirmed)
 
 
 @lru_cache(maxsize=None)
 def _sequences_by_partitions(n: int, d: int) -> frozenset[DegreeSequence]:
     total = 2 * (n - 1) + 2 * d
-    found: set[DegreeSequence] = set()
-    for part in bounded_partitions(total, n, max_part=n - 1, min_part=1):
-        seq = DegreeSequence(part)
-        if erdos_gallai(seq):
-            found.add(seq)
+    found: list[DegreeSequence] = []
+    acc: list[int] = []
+
+    def extend(k: int, prefix: int, cap: int) -> None:
+        # acc holds x_1..x_k, summing to prefix, each entry at most cap; the
+        # bounds on x_{k+1} leave room for a tail of entries in 1..x_{k+1}
+        remaining = total - prefix
+        slots = n - k
+        if slots == 1:
+            seq = DegreeSequence._from_sorted(acc + [remaining])
+            if erdos_gallai_violation(seq) is None:
+                found.append(seq)
+            return
+        k += 1
+        tail = n - k
+        base = k * (k - 1)
+        for v in range(min(cap, remaining - tail), -(-remaining // slots) - 1, -1):
+            # inequality k of Erdős–Gallai with the tail at its largest: it
+            # sums to total - s and each of its entries is at most v
+            s = prefix + v
+            if s > base + min(total - s, tail * (k if k < v else v)):
+                continue
+            acc.append(v)
+            extend(k, s, v)
+            acc.pop()
+
+    extend(0, 0, n - 1)
     return frozenset(found)
 
 
@@ -227,43 +254,118 @@ class MaximalSetReport:
 def maximal_elements(
     n: int, d: int, oracle: str = "both", *, max_n: int | None = None
 ) -> MaximalSetReport:
-    """Compute the maximal elements of the enumerated image under <=.
+    """The enumerated image and its maximal elements under <=.
 
-    Every sequence of the image must be dominated by some maximal element;
-    that is rechecked and a failure is a bug.
+    The maximal elements are the connected threshold sequences at (n, d),
+    generated directly (see _threshold_sequences). Once per image it is
+    checked that they lie in the image, are pairwise incomparable and
+    dominate every image sequence; a failure is a bug.
     """
     seqs = enumerate_connected_sequences(n, d, oracle, max_n=max_n)
     return MaximalSetReport(
         n=n,
         d=d,
         all_sequences=seqs,
-        maximal=_maximal_subset(seqs),
+        maximal=_maximal_subset(seqs, n, d),
         oracle_agreement=(oracle == "both"),
     )
 
 
-@lru_cache(maxsize=None)
-def _maximal_subset(seqs: frozenset[DegreeSequence]) -> frozenset[DegreeSequence]:
-    """The maximal-element filter, once per enumerated image.
+def _threshold_sequences(n: int, d: int) -> list[DegreeSequence]:
+    """Degree sequences of the connected threshold graphs with n vertices
+    and n-1+d edges, one per partition of d into distinct parts <= n-2.
 
-    seqs is an oracle's cached enumeration; "graphs" and "both" return the
-    same object, so one run serves both. If s <= t and s != t, t is
-    lexicographically greater. So in descending lexicographic order every
-    maximal element above s comes before s, and s is maximal iff no maximal
-    element kept so far dominates it: |seqs|·|maximal| comparisons, not
-    |seqs|^2.
+    A threshold graph adds vertices 0, 1, ..., n-1 in turn, each isolated
+    or dominating (joined to every earlier vertex). With D the set of
+    dominating vertices other than vertex 0, vertex i has degree
+    (i if i in D else 0) + #{p in D : p > i}, and there are sum(D) edges.
+    The graph is connected iff vertex n-1 dominates, so D = parts | {n-1}
+    for a partition of d into distinct parts in 1..n-2.
+
+    Proof sketch that these are exactly the maximal elements of the image
+    (the connected n-vertex graphs with n-1+d edges):
+
+    * a maximal t has t_1 = n-1: otherwise a vertex a of top degree misses
+      some b; on a shortest path a, p1, p2, ..., b move the edge p1p2 to
+      ap2. The graph stays connected (p1 and p2 both reach a), and the
+      degree moves from p1 to a, with deg a >= deg p1: the sequence grows;
+    * a maximal t is threshold: realize it with a dominating vertex h. A
+      non-threshold graph has two vertices u, v, neither of whose
+      neighborhoods is inside the other's closed one (Chvátal & Hammer),
+      neither of them h; with deg u >= deg v and w a neighbor of v not in
+      N[u], moving vw to uw keeps h dominating and grows the sequence;
+    * every generated sequence is maximal: a threshold sequence dominates
+      every other graphical sequence it is comparable with (Ruch & Gutman
+      1979; Merris & Roby, "The lattice of threshold graphs", 2005), and
+      distinct partitions give distinct threshold sequences (Hammer,
+      Ibaraki & Simeone 1981).
+
+    Every image sequence then lies below one of them, as the poset is
+    finite. _verified_maximal re-proves all of this for each image served.
     """
-    kept: list[DegreeSequence] = []
+    found: list[DegreeSequence] = []
+    parts: list[int] = []
+
+    def extend(rest: int, cap: int) -> None:
+        # parts holds distinct parts, decreasing, the next at most cap
+        if not rest:
+            dominating = (n - 1, *parts)
+            found.append(
+                DegreeSequence(
+                    (i if i in dominating else 0) + sum(p > i for p in dominating)
+                    for i in range(n)
+                )
+            )
+            return
+        for p in range(min(cap, rest), 0, -1):
+            if p * (p + 1) // 2 < rest:
+                break  # 1 + 2 + ... + p falls short, and so does every smaller p
+            parts.append(p)
+            extend(rest - p, p - 1)
+            parts.pop()
+
+    extend(d, n - 2)
+    return found
+
+
+def _verified_maximal(
+    seqs: frozenset[DegreeSequence], tops: list[DegreeSequence]
+) -> frozenset[DegreeSequence]:
+    """tops as a set, once it is shown to be the maximal set of seqs: each
+    lies in seqs, no two are comparable, and each of seqs lies below one."""
+    for t in tops:
+        if t not in seqs:
+            raise InternalInconsistencyError(f"{format_sequence(t)} generated but not in the image")
+    sums = [tuple(itertools.accumulate(t)) for t in tops]
+    for (s, a), (t, b) in itertools.combinations(zip(tops, sums), 2):
+        if all(map(le, a, b)) or all(map(le, b, a)):
+            raise InternalInconsistencyError(
+                f"generated {format_sequence(s)} and {format_sequence(t)} are comparable"
+            )
+    # neighbours in lexicographic order tend to share a dominator, so the
+    # last one found is tried first
+    last = sums[0]
     for s in sorted(seqs, reverse=True):
-        if not any(majorized(s, m) for m in kept):
-            kept.append(s)
-    maximal = frozenset(kept)
-    for s in seqs:
-        if not any(majorized(s, m) for m in maximal):
+        low = tuple(itertools.accumulate(s))
+        if all(map(le, low, last)):
+            continue
+        for high in sums:
+            if all(map(le, low, high)):
+                last = high
+                break
+        else:
             raise InternalInconsistencyError(
                 f"{format_sequence(s)} not dominated by any maximal element"
             )
-    return maximal
+    return frozenset(tops)
+
+
+@lru_cache(maxsize=None)
+def _maximal_subset(seqs: frozenset[DegreeSequence], n: int, d: int) -> frozenset[DegreeSequence]:
+    """The maximal set of the image seqs at (n, d), generated and verified
+    once per image: seqs is an oracle's cached enumeration, and "graphs"
+    and "both" return the same object, so one run serves both."""
+    return _verified_maximal(seqs, _threshold_sequences(n, d))
 
 
 def is_c_graphical_poset(x: DegreeSequence, oracle: str = "both") -> bool:
@@ -303,10 +405,13 @@ class CatalogEntry:
 def verify_maximal_catalog(n: int, oracle: str = "both") -> dict[int, CatalogEntry]:
     """Check the maximal sets against the two canonical families for d <= 5.
 
-    d = 0, 1, 2: the hub fill alone; d = 3, 4: hub fill plus clique fill;
-    d = 5: both families are maximal, and from n = 7 on the maximal set is
-    strictly larger (at n = 6 the enumerated maximal set is exactly the
-    pair, so strictness is only asserted for n >= 7).
+    The maximal set has one element per partition of d into distinct parts
+    of at most n-2: {}, {1}, {2}, {3}/{1,2}, {4}/{1,3} and {5}/{1,4}/{2,3}.
+    So d = 0, 1, 2 give the hub fill alone ({d}); d = 3, 4 give the hub fill
+    ({d}) and the clique fill ({1, d-1}); at d = 5 the clique fill is {2,3},
+    and from n = 7 on the hub fill is {5} and {1,4} is a third element. At
+    n = 6 the part 5 is too large, the hub fill is {1,4} and the maximal
+    set is exactly the pair, so strictness is only asserted for n >= 7.
     """
     if n < 6:
         raise OutOfRangeError(f"catalog check needs n >= 6, got {n}")

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 
 import pytest
@@ -10,7 +11,12 @@ from degseq.constructions import (
     incomplete_star,
     max_added_edges,
 )
-from degseq.errors import BadSumError, OracleMismatchError, OutOfRangeError
+from degseq.errors import (
+    BadSumError,
+    InternalInconsistencyError,
+    OracleMismatchError,
+    OutOfRangeError,
+)
 from degseq.graphs import is_connected
 from degseq.maximal import (
     MaximalSetReport,
@@ -102,7 +108,7 @@ class TestGraphsOracleAgainstAtlas:
 
         levels = range(0, max_added_edges(6) + 1)
         expected = [mx._sequences_by_partitions(6, d) for d in levels]
-        monkeypatch.setattr(mx, "erdos_gallai", forbidden)
+        monkeypatch.setattr(mx, "erdos_gallai_violation", forbidden)
         assert [mx._sequences_by_graphs.__wrapped__(6, d) for d in levels] == expected
 
 
@@ -114,14 +120,93 @@ class TestMaximalFilter:
     def test_graphs_images_match_pairwise_definition(self):
         for n in range(2, 8):
             for d in range(0, max_added_edges(n) + 1):
-                seqs = mx._sequences_by_graphs(n, d)
-                assert mx._maximal_subset(seqs) == _pairwise_maximal(seqs), (n, d)
+                report = maximal_elements(n, d, "graphs")
+                assert report.maximal == _pairwise_maximal(report.all_sequences), (n, d)
 
     def test_partitions_images_match_pairwise_definition(self):
         for n in range(2, 11):
             for d in range(0, max_added_edges(n) + 1):
-                seqs = mx._sequences_by_partitions(n, d)
-                assert mx._maximal_subset(seqs) == _pairwise_maximal(seqs), (n, d)
+                report = maximal_elements(n, d, "partitions")
+                assert report.maximal == _pairwise_maximal(report.all_sequences), (n, d)
+
+
+class TestThresholdSequences:
+    def test_match_networkx_creation_sequences(self):
+        # a connected threshold graph is a creation sequence ending in a
+        # dominating vertex; the first vertex's symbol makes no difference
+        threshold = pytest.importorskip("networkx.algorithms.threshold")
+        for n in range(2, 13):
+            expected = collections.defaultdict(set)
+            for head in itertools.product("di", repeat=n - 1):
+                deg = threshold.degree_sequence([*head, "d"])
+                expected[sum(deg) // 2 - (n - 1)].add(D(deg))
+            assert set(expected) == set(range(max_added_edges(n) + 1)), n
+            for d, seqs in expected.items():
+                got = mx._threshold_sequences(n, d)
+                assert len(got) == len(seqs) and set(got) == seqs, (n, d)
+
+
+class TestPartitionsOracle:
+    def test_matches_unpruned_reference(self):
+        for n in range(2, 12):
+            for d in range(0, max_added_edges(n) + 1):
+                total = 2 * (n - 1) + 2 * d
+                reference = {
+                    D(p)
+                    for p in bounded_partitions(total, n, max_part=n - 1, min_part=1)
+                    if erdos_gallai(D(p))
+                }
+                assert mx._sequences_by_partitions(n, d) == reference, (n, d)
+
+
+@pytest.fixture
+def fresh_maximal_cache(monkeypatch):
+    """A private cache for the maximal sets, so every call below is cold."""
+    monkeypatch.setattr(mx, "_maximal_subset", functools.lru_cache(mx._maximal_subset.__wrapped__))
+
+
+class TestMaximalGuards:
+    def test_generated_sequence_missing_from_image(self, monkeypatch, fresh_maximal_cache):
+        image = mx._sequences_by_partitions(7, 5)
+        monkeypatch.setattr(
+            mx, "_sequences_by_partitions", lambda n, d: image - {hub_fill_sequence(7, 5)}
+        )
+        with pytest.raises(InternalInconsistencyError, match="not in the image"):
+            maximal_elements(7, 5, "partitions")
+
+    def test_comparable_generated_sequences(self, monkeypatch, fresh_maximal_cache):
+        below_hub = D((6, 5, 3, 2, 2, 2, 2))
+        assert below_hub in mx._sequences_by_partitions(7, 5)
+        generate = mx._threshold_sequences
+        monkeypatch.setattr(mx, "_threshold_sequences", lambda n, d: generate(n, d) + [below_hub])
+        with pytest.raises(InternalInconsistencyError, match="comparable"):
+            maximal_elements(7, 5, "partitions")
+
+    def test_undominated_image_sequence(self, monkeypatch, fresh_maximal_cache):
+        generate = mx._threshold_sequences
+        monkeypatch.setattr(mx, "_threshold_sequences", lambda n, d: generate(n, d)[1:])
+        with pytest.raises(InternalInconsistencyError, match="not dominated"):
+            maximal_elements(7, 5, "partitions")
+
+    def test_seven_queries_on_one_key_generate_and_check_once(
+        self, monkeypatch, fresh_maximal_cache
+    ):
+        calls = collections.Counter()
+
+        def spy(name):
+            original = getattr(mx, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(mx, name, counted)
+
+        spy("_threshold_sequences")
+        spy("_verified_maximal")
+        queries = sorted(mx._sequences_by_partitions(8, 5), reverse=True)[:7]
+        assert all(is_c_graphical_poset(x, "partitions") for x in queries)
+        assert calls == {"_threshold_sequences": 1, "_verified_maximal": 1}
 
 
 class TestMaximalElements:
