@@ -1,35 +1,26 @@
 """Degree-sequence realizability and majorization toolkit."""
 
 from .constructions import (
-    HubFillSplit,
     build_clique_fill,
     build_hub_fill,
     clique_fill_sequence,
     hub_fill_sequence,
-    hub_fill_split,
     incomplete_star,
     max_added_edges,
 )
 from .errors import DegseqError
 from .graphs import (
     SimpleGraph,
-    add_edge,
     degree_sequence,
-    find_path,
-    from_edge_list_text,
     is_connected,
-    remove_edge,
     to_dot,
     to_edge_list_text,
-    two_swap,
 )
 from .maximal import (
     MaximalSetReport,
     enumerate_connected_sequences,
     is_c_graphical_poset,
     maximal_elements,
-    maximal_heads_full,
-    verify_maximal_catalog,
 )
 from .orders import (
     BasicTransfer,
@@ -39,7 +30,6 @@ from .orders import (
     TransferChain,
     apply_basic_transfer,
     compare,
-    convex_sum,
     decompose_into_basic_transfers,
     format_sequence,
     lorenz_curve,

@@ -17,7 +17,6 @@ incomplete star: a star on n+d vertices padded with isolated vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .errors import OutOfRangeError
@@ -37,48 +36,21 @@ def _check_range(n: int, d: int) -> None:
         raise OutOfRangeError(f"d={d} outside 0..{max_added_edges(n)} for n={n}")
 
 
-@dataclass(frozen=True)
-class HubFillSplit:
-    """Decomposition of d into saturation rounds for the hub-fill family.
-
-    full_count is the number of vertices already at full degree n-1 and
-    partial_count the number of edges the next hub has added so far, so
-    d = sum of the completed round lengths + partial_count. At the top
-    value d = (n-1)(n-2)/2 the split is (n-1, 0), which still yields the
-    complete graph's sequence.
-    """
-
-    n: int
-    d: int
-    full_count: int
-    partial_count: int
-
-
-def hub_fill_split(n: int, d: int) -> HubFillSplit:
-    """Unique (full_count, partial_count) with the round-length constraint.
-
-    Round r (r >= 2) has length n - r, so full_count is the largest i with
-    sum over k = 2..i of (n - k) at most d, and partial_count the remainder,
-    which then lies in 0..n-full_count-2 (except at the very top, where the
-    remainder is 0 by construction).
-    """
-    _check_range(n, d)
-    i = 1
-    consumed = 0
-    while i + 1 <= n - 1 and consumed + (n - (i + 1)) <= d:
-        consumed += n - (i + 1)
-        i += 1
-    return HubFillSplit(n=n, d=d, full_count=i, partial_count=d - consumed)
-
-
 def hub_fill_sequence(n: int, d: int) -> DegreeSequence:
     """Closed-form degree sequence of the hub-fill graph.
 
-    With i = full_count and j = partial_count: i copies of n-1, then i+j,
-    then j copies of i+1, then n-i-j-1 copies of i.
+    Round r (r >= 2) has length n - r. The split of d takes i, the number
+    of vertices at full degree n-1, as the largest i with rounds 2..i
+    summing to at most d, and j, the edges of the partial round, as the
+    remainder, which lies in 0..n-i-2 (at the top value (n-1)(n-2)/2 the
+    split is (n-1, 0), the complete graph). The sequence is i copies of
+    n-1, then i+j, then j copies of i+1, then n-i-j-1 copies of i.
     """
-    s = hub_fill_split(n, d)
-    i, j = s.full_count, s.partial_count
+    _check_range(n, d)
+    i, j = 1, d
+    while i < n - 1 and n - i - 1 <= j:
+        j -= n - i - 1
+        i += 1
     vals = [n - 1] * i + [i + j] + [i + 1] * j + [i] * (n - i - j - 1)
     return DegreeSequence(vals)
 

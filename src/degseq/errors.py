@@ -21,16 +21,8 @@ class EdgeExistsError(DegseqError):
     """Attempt to add an edge that is already present."""
 
 
-class EdgeMissingError(DegseqError):
-    """Attempt to remove or rewire an edge that is not present."""
-
-
 class NoPathError(DegseqError):
     """The requested endpoints lie in different connected components."""
-
-
-class SwapBlockedError(DegseqError):
-    """A two-swap would collide with existing edges or shared vertices."""
 
 
 # -- sequence / order layer ---------------------------------------------
@@ -61,10 +53,6 @@ class SumMismatchError(DegseqError):
 
 class IndexOutOfRangeError(DegseqError):
     """A rank argument is outside 1..N."""
-
-
-class UnknownFunctionError(DegseqError):
-    """Convex function identifier not in the built-in family."""
 
 
 # -- realizability layer -------------------------------------------------
@@ -105,19 +93,6 @@ class OutOfRangeError(DegseqError):
 
 class OracleMismatchError(DegseqError):
     """Two independent enumeration oracles disagreed. Fatal."""
-
-
-class MaximalCatalogMismatchError(DegseqError):
-    """Computed maximal set differs from the expected family catalog."""
-
-    def __init__(self, d: int, computed, expected):
-        self.d = d
-        self.computed = computed
-        self.expected = expected
-        super().__init__(
-            f"maximal set mismatch at d={d}: computed {sorted(computed, reverse=True)}, "
-            f"expected {sorted(expected, reverse=True)}"
-        )
 
 
 class InternalInconsistencyError(DegseqError):

@@ -1,17 +1,16 @@
 """Immutable labeled simple undirected graphs.
 
-Vertices are dense integers 0..n-1. A SimpleGraph never mutates: the
-public edits (add_edge, remove_edge, two_swap) each return a new graph.
-Shortest paths come from a BFS that visits neighbors in ascending index
-order, so outputs are reproducible. Connectivity, component labels and
-the first edge on a cycle all come from one union-find pass. Edges come
-out in ascending (u, v) order from each vertex's ascending list of larger
-neighbors, in O(m) plus sorting those short lists.
+Vertices are dense integers 0..n-1, and a SimpleGraph never mutates.
+Connectivity and the first edge on a cycle come from one union-find pass,
+and shortest paths from a BFS that visits neighbors in ascending index
+order, so outputs are reproducible. Edges come out in ascending (u, v)
+order from each vertex's ascending list of larger neighbors, in O(m) plus
+sorting those short lists.
 
 Algorithms that edit one graph many times (the realizations and the
-rewiring chains in `realizability`) instead work on a mutable adjacency,
-a list of ascending neighbor lists, with the package-internal helpers at
-the end of this module, and freeze it into a SimpleGraph once.
+rewiring chains in `realizability`) work on a mutable adjacency, a list
+of ascending neighbor lists, with the package-internal helpers at the end
+of this module, and freeze it into a SimpleGraph once.
 """
 
 from __future__ import annotations
@@ -22,13 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import (
-    EdgeExistsError,
-    EdgeMissingError,
-    NoPathError,
-    SelfLoopError,
-    SwapBlockedError,
-)
+from .errors import EdgeExistsError, NoPathError, SelfLoopError
 from .orders import DegreeSequence
 
 Edge = tuple[int, int]
@@ -102,60 +95,6 @@ def degree_sequence(g: SimpleGraph) -> DegreeSequence:
 def is_connected(g: SimpleGraph) -> bool:
     """One component; a single vertex counts as connected."""
     return _connected(g._adjacency)
-
-
-def component_labels(g: SimpleGraph) -> list[int]:
-    """Component id per vertex, ids assigned in ascending first-vertex order."""
-    ids: dict[int, int] = {}
-    return [ids.setdefault(r, len(ids)) for r in _components(g._adjacency)[0]]
-
-
-def find_path(g: SimpleGraph, i: int, j: int) -> VertexPath:
-    """Shortest path from i to j (BFS, ascending neighbor order).
-
-    The inverse-transfer rewiring relies on this being a shortest path:
-    on a shortest path no two non-consecutive vertices are adjacent, which
-    is what makes the rewiring pivot always exist.
-    """
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise ValueError(f"vertex pair ({i},{j}) outside vertex range")
-    return _path(g._adjacency, i, j)
-
-
-def add_edge(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
-    if u == v:
-        raise SelfLoopError(f"self-loop at vertex {u}")
-    e = _norm(u, v)
-    if not (0 <= e[0] and e[1] < g.n):
-        raise ValueError(f"edge {e} outside vertex range")
-    if e in g.edges:
-        raise EdgeExistsError(f"edge {e} already present")
-    return SimpleGraph(g.n, g.edges | {e})
-
-
-def remove_edge(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
-    e = _norm(u, v)
-    if e not in g.edges:
-        raise EdgeMissingError(f"edge {e} not present")
-    return SimpleGraph(g.n, g.edges - {e})
-
-
-def two_swap(g: SimpleGraph, e1: tuple[int, int], e2: tuple[int, int]) -> SimpleGraph:
-    """Replace edges {a,b},{c,d} by {a,c},{b,d}; degrees are unchanged.
-
-    Requires the four endpoints distinct and both replacement edges absent.
-    """
-    a, b = _norm(*e1)
-    c, d = _norm(*e2)
-    for e in ((a, b), (c, d)):
-        if e not in g.edges:
-            raise EdgeMissingError(f"edge {e} not present")
-    if len({a, b, c, d}) != 4:
-        raise SwapBlockedError("swap endpoints must be four distinct vertices")
-    for e in (_norm(a, c), _norm(b, d)):
-        if e in g.edges:
-            raise SwapBlockedError(f"replacement edge {e} already present")
-    return SimpleGraph(g.n, (g.edges - {(a, b), (c, d)}) | {_norm(a, c), _norm(b, d)})
 
 
 # -- mutable adjacency (package-internal) ------------------------------------
@@ -237,7 +176,12 @@ def _connected(adj) -> bool:
 
 
 def _path(adj, i: int, j: int) -> VertexPath:
-    """Shortest i-j path; BFS in ascending neighbor order, first parent wins."""
+    """Shortest i-j path; BFS in ascending neighbor order, first parent wins.
+
+    The inverse-transfer rewiring relies on this being a shortest path:
+    on a shortest path no two non-consecutive vertices are adjacent, which
+    is what makes the rewiring pivot always exist.
+    """
     if i == j:
         raise ValueError("path endpoints must differ")
     parent = {i: i}
@@ -266,23 +210,6 @@ def to_edge_list_text(g: SimpleGraph) -> str:
     lines = [f"{g.n} {len(g.edges)}"]
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"
-
-
-def from_edge_list_text(text: str) -> SimpleGraph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty edge-list text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header line {lines[0]!r}; expected 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        pairs.append((int(u), int(v)))
-    return SimpleGraph.from_edges(n, pairs)
 
 
 def to_dot(g: SimpleGraph) -> str:

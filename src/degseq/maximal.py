@@ -23,12 +23,11 @@ ways, the set of degree sequences realized by connected graphs:
   a prefix once its own Erdős–Gallai inequality fails for every tail.
 
 A mismatch raises OracleMismatchError and is always a bug, never a warning.
-On top of the enumeration sit the maximal elements of the prefix-sum order,
-the poset-based c-graphicality test, and checks that the maximal sets match
-the canonical star-augmentation families at small d. The maximal elements
-are generated directly as the connected threshold sequences, one per
-partition of d into distinct parts of at most n-2, and each image they
-serve is checked against them at run time.
+On top of the enumeration sit the maximal elements of the prefix-sum order
+and the poset-based c-graphicality test. The maximal elements are generated
+directly as the connected threshold sequences, one per partition of d into
+distinct parts of at most n-2, and each image they serve is checked
+against them at run time.
 """
 
 from __future__ import annotations
@@ -39,11 +38,10 @@ from functools import lru_cache
 from operator import le
 from typing import Iterator
 
-from .constructions import clique_fill_sequence, hub_fill_sequence, max_added_edges
+from .constructions import max_added_edges
 from .errors import (
     BadSumError,
     InternalInconsistencyError,
-    MaximalCatalogMismatchError,
     OracleMismatchError,
     OutOfRangeError,
 )
@@ -386,55 +384,3 @@ def is_c_graphical_poset(x: DegreeSequence, oracle: str = "both") -> bool:
         return False
     report = maximal_elements(n, d, oracle)
     return any(majorized(x, y) for y in report.maximal)
-
-
-def maximal_heads_full(n: int, d: int, oracle: str = "both") -> bool:
-    """True iff every maximal element starts with the full degree n-1."""
-    report = maximal_elements(n, d, oracle)
-    return all(s[0] == n - 1 for s in report.maximal)
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    d: int
-    expected: tuple[DegreeSequence, ...]
-    computed: tuple[DegreeSequence, ...]
-    relation: str  # "exact" or "superset"
-
-
-def verify_maximal_catalog(n: int, oracle: str = "both") -> dict[int, CatalogEntry]:
-    """Check the maximal sets against the two canonical families for d <= 5.
-
-    The maximal set has one element per partition of d into distinct parts
-    of at most n-2: {}, {1}, {2}, {3}/{1,2}, {4}/{1,3} and {5}/{1,4}/{2,3}.
-    So d = 0, 1, 2 give the hub fill alone ({d}); d = 3, 4 give the hub fill
-    ({d}) and the clique fill ({1, d-1}); at d = 5 the clique fill is {2,3},
-    and from n = 7 on the hub fill is {5} and {1,4} is a third element. At
-    n = 6 the part 5 is too large, the hub fill is {1,4} and the maximal
-    set is exactly the pair, so strictness is only asserted for n >= 7.
-    """
-    if n < 6:
-        raise OutOfRangeError(f"catalog check needs n >= 6, got {n}")
-    entries: dict[int, CatalogEntry] = {}
-    for d in range(0, 6):
-        report = maximal_elements(n, d, oracle)
-        expected = {hub_fill_sequence(n, d)}
-        if d >= 3:
-            expected.add(clique_fill_sequence(n, d))
-        if d <= 4:
-            ok = report.maximal == frozenset(expected)
-            relation = "exact"
-        else:
-            ok = expected <= report.maximal
-            if n >= 7:
-                ok = ok and len(report.maximal) > len(expected)
-            relation = "superset"
-        if not ok:
-            raise MaximalCatalogMismatchError(d, report.maximal, expected)
-        entries[d] = CatalogEntry(
-            d=d,
-            expected=tuple(sorted(expected, reverse=True)),
-            computed=tuple(report.sorted_maximal()),
-            relation=relation,
-        )
-    return entries

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -25,7 +24,6 @@ from .errors import (
     OrderViolatedError,
     SumMismatchError,
     UnderflowError,
-    UnknownFunctionError,
     ZeroSumError,
 )
 
@@ -55,10 +53,6 @@ class DegreeSequence(tuple):
     def _from_sorted(cls, vals: list[int]) -> "DegreeSequence":
         """Wrap entries already non-increasing and non-negative, unchecked."""
         return tuple.__new__(cls, vals)
-
-    def prefix_sums(self) -> tuple[int, ...]:
-        """Running totals (s_1, s_1+s_2, ...), length N."""
-        return tuple(accumulate(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DegreeSequence({','.join(map(str, self))})"
@@ -311,30 +305,6 @@ def decompose_into_basic_transfers(x: DegreeSequence, y: DegreeSequence) -> Tran
     return TransferChain(start=x, steps=tuple(map(BasicTransfer, to_ranks, from_ranks)))
 
 
-def minimum_transfer_count(x: DegreeSequence, y: DegreeSequence) -> int:
-    """Independent count of unit transfers needed to climb from x to y.
-
-    A transfer from rank j to rank i raises the running totals at
-    positions i..j-1 by one each, so a decomposition is an interval cover
-    of the deficit profile D(k) = prefix_y(k) - prefix_x(k). The minimum
-    number of intervals is the total ascent sum(max(0, D(k) - D(k-1))).
-    """
-    x, y = DegreeSequence(x), DegreeSequence(y)
-    if len(x) != len(y):
-        raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
-    if sum(x) != sum(y):
-        raise SumMismatchError(f"totals differ: {sum(x)} vs {sum(y)}")
-    px, py = x.prefix_sums(), y.prefix_sums()
-    deficits = [b - a for a, b in zip(px, py)]
-    prev = 0
-    count = 0
-    for dk in deficits:
-        if dk > prev:
-            count += dk - prev
-        prev = dk
-    return count
-
-
 # -- auxiliary exact functionals -------------------------------------------
 
 
@@ -344,27 +314,3 @@ def min_tail_sum(x: DegreeSequence, k: int) -> int:
     if not 1 <= k <= n:
         raise IndexOutOfRangeError(f"k={k} outside 1..{n}")
     return sum(min(v, k) for v in x[k:])
-
-
-_HINGE_RE = re.compile(r"^hinge\((-?\d+)\)$")
-
-CONVEX_FUNCTION_NAMES = ("square", "cube", "hinge(c)")
-
-
-def convex_sum(x: DegreeSequence, phi: str) -> int:
-    """Exact sum of a built-in convex function over the entries.
-
-    phi is one of "square", "cube" (convex on the non-negative entries we
-    allow), or "hinge(c)" meaning max(t - c, 0) for an integer c.
-    """
-    if phi == "square":
-        return sum(v * v for v in x)
-    if phi == "cube":
-        return sum(v * v * v for v in x)
-    m = _HINGE_RE.match(phi.replace(" ", ""))
-    if m:
-        c = int(m.group(1))
-        return sum(max(v - c, 0) for v in x)
-    raise UnknownFunctionError(
-        f"unknown convex function {phi!r}; expected one of {CONVEX_FUNCTION_NAMES}"
-    )

@@ -8,6 +8,9 @@ The pinning tests compare the library against these:
   realization re-sorting every vertex per head, one edge removal and one
   BFS per candidate cycle edge, one deficit profile per unit transfer, one
   graph copy per rewiring step);
+- the immutable graph edits these use (`add_edge`, `remove_edge`,
+  `two_swap`, `find_path`, `component_labels`), each of which copies the
+  whole edge set, and the two errors only they raise;
 - the re-sorting reductions (`hh_reduce`, `generalized_reduce`,
   `havel_hakimi_trace`, `reduce_to_constant`) and the `check` command's
   rendering of their traces (`format_sequence`, `_print_trace`,
@@ -29,6 +32,7 @@ from degseq.errors import (
     BadRankError,
     BadSumError,
     DegseqError,
+    EdgeExistsError,
     HeadTooLargeError,
     InternalInconsistencyError,
     LengthMismatchError,
@@ -38,18 +42,18 @@ from degseq.errors import (
     NotMajorizedError,
     OracleMismatchError,
     PreconditionViolatedError,
+    SelfLoopError,
     SumMismatchError,
     UnderflowError,
 )
 from degseq.graphs import (
     SimpleGraph,
-    add_edge,
-    component_labels,
+    VertexPath,
+    _components,
+    _norm,
+    _path,
     degree_sequence,
-    find_path,
     is_connected,
-    remove_edge,
-    two_swap,
 )
 from degseq.orders import (
     BasicTransfer,
@@ -65,6 +69,68 @@ from degseq.realizability import (
     erdos_gallai,
     is_c_graphical,
 )
+
+
+class EdgeMissingError(DegseqError):
+    """Attempt to remove or rewire an edge that is not present."""
+
+
+class SwapBlockedError(DegseqError):
+    """A two-swap would collide with existing edges or shared vertices."""
+
+
+def component_labels(g: SimpleGraph) -> list[int]:
+    """Component id per vertex, ids assigned in ascending first-vertex order."""
+    ids: dict[int, int] = {}
+    return [ids.setdefault(r, len(ids)) for r in _components(g._adjacency)[0]]
+
+
+def find_path(g: SimpleGraph, i: int, j: int) -> VertexPath:
+    """Shortest path from i to j (BFS, ascending neighbor order).
+
+    The inverse-transfer rewiring relies on this being a shortest path:
+    on a shortest path no two non-consecutive vertices are adjacent, which
+    is what makes the rewiring pivot always exist.
+    """
+    if not (0 <= i < g.n and 0 <= j < g.n):
+        raise ValueError(f"vertex pair ({i},{j}) outside vertex range")
+    return _path(g._adjacency, i, j)
+
+
+def add_edge(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
+    if u == v:
+        raise SelfLoopError(f"self-loop at vertex {u}")
+    e = _norm(u, v)
+    if not (0 <= e[0] and e[1] < g.n):
+        raise ValueError(f"edge {e} outside vertex range")
+    if e in g.edges:
+        raise EdgeExistsError(f"edge {e} already present")
+    return SimpleGraph(g.n, g.edges | {e})
+
+
+def remove_edge(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
+    e = _norm(u, v)
+    if e not in g.edges:
+        raise EdgeMissingError(f"edge {e} not present")
+    return SimpleGraph(g.n, g.edges - {e})
+
+
+def two_swap(g: SimpleGraph, e1: tuple[int, int], e2: tuple[int, int]) -> SimpleGraph:
+    """Replace edges {a,b},{c,d} by {a,c},{b,d}; degrees are unchanged.
+
+    Requires the four endpoints distinct and both replacement edges absent.
+    """
+    a, b = _norm(*e1)
+    c, d = _norm(*e2)
+    for e in ((a, b), (c, d)):
+        if e not in g.edges:
+            raise EdgeMissingError(f"edge {e} not present")
+    if len({a, b, c, d}) != 4:
+        raise SwapBlockedError("swap endpoints must be four distinct vertices")
+    for e in (_norm(a, c), _norm(b, d)):
+        if e in g.edges:
+            raise SwapBlockedError(f"replacement edge {e} already present")
+    return SimpleGraph(g.n, (g.edges - {(a, b), (c, d)}) | {_norm(a, c), _norm(b, d)})
 
 
 def format_sequence(seq: Iterable[int]) -> str:

@@ -21,7 +21,6 @@ from degseq.maximal import (
     bounded_partitions,
     enumerate_connected_sequences,
     maximal_elements,
-    verify_maximal_catalog,
 )
 from degseq.orders import (
     DegreeSequence,
@@ -213,11 +212,10 @@ def test_criterion_6_maximal_catalog_and_oracles():
 
     # catalog: exact for d <= 2 (singleton) and d in {3,4} (pair)
     for n in (6, 7):
-        entries = verify_maximal_catalog(n)
         for d in (0, 1, 2):
-            assert entries[d].computed == (hub_fill_sequence(n, d),)
+            assert maximal_elements(n, d).maximal == {hub_fill_sequence(n, d)}
         for d in (3, 4):
-            assert set(entries[d].computed) == {
+            assert maximal_elements(n, d).maximal == {
                 hub_fill_sequence(n, d),
                 clique_fill_sequence(n, d),
             }

@@ -5,7 +5,6 @@ from degseq.constructions import (
     build_hub_fill,
     clique_fill_sequence,
     hub_fill_sequence,
-    hub_fill_split,
     incomplete_star,
     max_added_edges,
 )
@@ -18,36 +17,41 @@ D = DegreeSequence
 
 
 class TestHubFillSplit:
+    """The split of d into full rounds plus a partial round, read off
+    hub_fill_sequence: i vertices at full degree n-1, then i+j, then j
+    copies of i+1, then copies of i."""
+
     def test_small_case(self):
-        s = hub_fill_split(5, 3)
-        assert (s.full_count, s.partial_count) == (2, 0)
+        # two full vertices, no partial round
+        assert hub_fill_sequence(5, 3) == D((4, 4, 2, 2, 2))
 
     def test_zero_is_star(self):
-        s = hub_fill_split(9, 0)
-        assert (s.full_count, s.partial_count) == (1, 0)
+        assert hub_fill_sequence(9, 0) == D((8,) + (1,) * 8)
 
     def test_top_value_is_complete(self):
-        s = hub_fill_split(5, 6)
-        assert (s.full_count, s.partial_count) == (4, 0)
+        assert hub_fill_sequence(5, 6) == D((4,) * 5)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            hub_fill_split(5, 7)
+            hub_fill_sequence(5, 7)
         with pytest.raises(OutOfRangeError):
-            hub_fill_split(5, -1)
+            hub_fill_sequence(5, -1)
+        with pytest.raises(OutOfRangeError):
+            hub_fill_sequence(1, 0)
 
     def test_round_structure_everywhere(self):
         for n in range(2, 10):
             for d in range(0, max_added_edges(n) + 1):
-                s = hub_fill_split(n, d)
-                i, j = s.full_count, s.partial_count
-                assert 1 <= i <= n - 1
-                consumed = sum(n - k for k in range(2, i + 1))
-                assert consumed + j == d
+                # round k >= 2 adds n - k edges; i rounds are complete
+                rounds = [sum(n - k for k in range(2, i + 1)) for i in range(1, n)]
+                i = max(i for i, used in enumerate(rounds, start=1) if used <= d)
+                j = d - rounds[i - 1]
                 if d < max_added_edges(n):
                     assert 0 <= j <= n - i - 2
                 else:
-                    assert j == 0
+                    assert (i, j) == (n - 1, 0)
+                expected = [n - 1] * i + [i + j] + [i + 1] * j + [i] * (n - i - j - 1)
+                assert hub_fill_sequence(n, d) == D(expected)
 
 
 class TestHubFillSequence:

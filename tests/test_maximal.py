@@ -24,8 +24,6 @@ from degseq.maximal import (
     enumerate_connected_sequences,
     is_c_graphical_poset,
     maximal_elements,
-    maximal_heads_full,
-    verify_maximal_catalog,
 )
 from degseq.orders import DegreeSequence, majorized
 from degseq.realizability import erdos_gallai, is_c_graphical, realize_connected
@@ -282,29 +280,28 @@ class TestHeadsFull:
     def test_small_sweep(self):
         for n in range(2, 7):
             for d in range(0, max_added_edges(n) + 1):
-                assert maximal_heads_full(n, d), (n, d)
+                assert all(s[0] == n - 1 for s in maximal_elements(n, d).maximal), (n, d)
 
 
 class TestCatalog:
+    """The maximal sets against the two star families at n = 6: one element
+    per partition of d into distinct parts of at most 4, so the hub fill
+    alone for d <= 2, the hub and clique fills for d = 3, 4, and at d = 5
+    the hub fill {1,4} and the clique fill {2,3} (the part 5 is too large)."""
+
     def test_exact_families_small(self):
-        entries = verify_maximal_catalog(6)
-        assert {d: e.relation for d, e in entries.items()} == {
-            0: "exact",
-            1: "exact",
-            2: "exact",
-            3: "exact",
-            4: "exact",
-            5: "superset",
-        }
+        for d in range(0, 6):
+            expected = {hub_fill_sequence(6, d)}
+            if d >= 3:
+                expected.add(clique_fill_sequence(6, d))
+            assert maximal_elements(6, d).maximal == expected, d
 
     def test_catalog_values_at_six(self):
-        entries = verify_maximal_catalog(6)
-        assert entries[1].computed == (D((5, 2, 2, 1, 1, 1)),)
-        assert entries[4].computed == (D((5, 5, 2, 2, 2, 2)), D((5, 4, 3, 3, 2, 1)))
-
-    def test_needs_six_vertices(self):
-        with pytest.raises(OutOfRangeError):
-            verify_maximal_catalog(5)
+        assert maximal_elements(6, 1).sorted_maximal() == [D((5, 2, 2, 1, 1, 1))]
+        assert maximal_elements(6, 4).sorted_maximal() == [
+            D((5, 5, 2, 2, 2, 2)),
+            D((5, 4, 3, 3, 2, 1)),
+        ]
 
 
 class TestDominationClosure:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -14,23 +15,21 @@ from degseq.errors import (
     OrderViolatedError,
     SumMismatchError,
     UnderflowError,
-    UnknownFunctionError,
     ZeroSumError,
 )
+from degseq.maximal import bounded_partitions
 from degseq.orders import (
     BasicTransfer,
     Comparison,
     DegreeSequence,
     apply_basic_transfer,
     compare,
-    convex_sum,
     decompose_into_basic_transfers,
     format_sequence,
     lorenz_curve,
     lorenz_majorized,
     majorized,
     min_tail_sum,
-    minimum_transfer_count,
     nonnormalized_lorenz_points,
     parse_sequence,
 )
@@ -55,6 +54,35 @@ def equal_sum_majorized_pairs(max_len, max_value):
                 for y in group:
                     if majorized(x, y):
                         yield x, y
+
+
+def minimum_transfer_count(x, y):
+    """Independent count of unit transfers needed to climb from x to y.
+
+    A transfer from rank j to rank i raises the running totals at
+    positions i..j-1 by one each, so a decomposition is an interval cover
+    of the deficit profile D(k) = prefix_y(k) - prefix_x(k). The minimum
+    number of intervals is the total ascent sum(max(0, D(k) - D(k-1))).
+    """
+    x, y = DegreeSequence(x), DegreeSequence(y)
+    if len(x) != len(y):
+        raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
+    if sum(x) != sum(y):
+        raise SumMismatchError(f"totals differ: {sum(x)} vs {sum(y)}")
+    px, py = itertools.accumulate(x), itertools.accumulate(y)
+    deficits = [b - a for a, b in zip(px, py)]
+    prev = 0
+    count = 0
+    for dk in deficits:
+        if dk > prev:
+            count += dk - prev
+        prev = dk
+    return count
+
+
+def hinge_sums(x, top):
+    """sum over i of max(x_i - c, 0), for c = 0..top."""
+    return [sum(max(v - c, 0) for v in x) for c in range(top + 1)]
 
 
 class TestDegreeSequenceType:
@@ -358,7 +386,7 @@ class TestDecompose:
         assert chain.end == (3, 2, 1)
 
     def test_minimum_count_takes_plain_tuples(self):
-        # x.prefix_sums() once raised AttributeError on a plain tuple
+        # the oracle once raised AttributeError on a plain tuple
         assert minimum_transfer_count((2, 2, 2), (3, 2, 1)) == 1
         assert minimum_transfer_count((2, 2, 2), (1, 2, 3)) == 1
 
@@ -395,24 +423,40 @@ class TestMinTailSum:
 
 
 class TestConvexSum:
-    def test_square(self):
-        assert convex_sum(D((2, 2, 2)), "square") == 12
+    """Convex sums, computed here, as an independent oracle for majorized.
+
+    For equal totals, x <= y iff sum phi(x_i) <= sum phi(y_i) for every
+    convex phi (Karamata; Hardy, Littlewood & Polya). On integer entries
+    the hinges max(t - c, 0) at integer c suffice, as every convex phi
+    agrees on the integers with a non-negative combination of them plus
+    an affine part, which the equal totals cancel.
+    """
 
     def test_hinge(self):
-        assert convex_sum(D((3, 2, 1)), "hinge(2)") == 1
+        # the hinge at 2 shows that (3,2,1) is not below (2,2,2)
+        assert hinge_sums(D((3, 2, 1)), 3)[2] == 1 > hinge_sums(D((2, 2, 2)), 3)[2]
+        assert not majorized(D((3, 2, 1)), D((2, 2, 2)))
 
     def test_square_witnesses_order(self):
-        assert convex_sum(D((3, 2, 1)), "square") == 14 >= 12
-
-    def test_unknown(self):
-        with pytest.raises(UnknownFunctionError):
-            convex_sum(D((1,)), "exp")
+        x, y = D((2, 2, 2)), D((3, 2, 1))
+        assert majorized(x, y)
+        assert sum(v * v for v in x) == 12 < 14 == sum(v * v for v in y)
 
     def test_convexity_inequality_over_family(self):
-        phis = ["square", "cube"] + [f"hinge({c})" for c in range(0, 6)]
-        for x, y in equal_sum_majorized_pairs(4, 5):
-            for phi in phis:
-                assert convex_sum(x, phi) <= convex_sum(y, phi)
+        # every pair of equal-sum sequences with n <= 7 and entries <= n-1:
+        # majorized agrees with the whole hinge family, both ways
+        pairs = 0
+        for n in range(1, 8):
+            for total in range(n * (n - 1) + 1):
+                group = [
+                    (x, hinge_sums(x, n - 1))
+                    for x in map(D, bounded_partitions(total, n, max_part=n - 1))
+                ]
+                for x, hx in group:
+                    for y, hy in group:
+                        pairs += 1
+                        assert majorized(x, y) == all(map(operator.le, hx, hy)), (x, y)
+        assert pairs > 10**4
 
 
 @settings(max_examples=200)
