@@ -11,7 +11,8 @@ answer of that method without a certificate is marked `"conclusive":
 false` (text: `inconclusive: no domination witness`) and exits 0.
 Output is line-oriented and stable; informational notes go to stderr so
 stdout can be compared against golden files. Every `--json` record is the
-text of json.dumps with sorted keys.
+text of json.dumps with sorted keys. Each command imports the library
+modules it runs when it starts, so building the parser loads none of them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import functools
 import json
 import sys
 
-from . import constructions, maximal, orders, realizability
 from .errors import (
     BadSumError,
     DegseqError,
@@ -33,8 +33,6 @@ from .errors import (
     OutOfRangeError,
     SumMismatchError,
 )
-from .graphs import to_dot, to_edge_list_text
-from .orders import DegreeSequence, format_sequence, parse_sequence
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -46,6 +44,8 @@ TRACE_BUDGET = 100_000_000
 # A longer admitted trace is counted without its states and then built again, so a
 # refusal holds the runs of at most this many printed integers
 TRACE_KEPT = 4_000_000
+# maximal.ORACLES, repeated so that building the parser does not import maximal
+ORACLES = ("graphs", "partitions", "both")
 
 
 def _emit(text: str) -> None:
@@ -61,34 +61,28 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _parse_seq(args, literal: str) -> DegreeSequence:
+def _parse_seq(orders, args, literal: str):
+    """The DegreeSequence of a literal, parsed by the orders module."""
     # "-" reads the literal from stdin, for sequences past the argv size cap;
     # a second "-" in one command finds stdin drained and is a usage error
     if literal == "-":
         literal = sys.stdin.read()
-    seq, already_sorted = parse_sequence(literal)
+    seq, already_sorted = orders.parse_sequence(literal)
     if not already_sorted:
-        _note(args, f"note: input reordered to {format_sequence(seq)}")
+        _note(args, f"note: input reordered to {orders.format_sequence(seq)}")
     return seq
 
 
-def _print_trace(trace) -> None:
-    for before, rule, after in realizability._rendered_steps(trace.states, trace.rules, ","):
-        _emit(f"  {before} -[{rule}]-> {after}")
-    _emit(f"  {trace.outcome}")
-
-
-def _emit_trace_verdict_json(verdict: realizability.Verdict, trace) -> None:
+def _emit_trace_verdict_json(verdict, steps, outcome: str) -> None:
     """Write json.dumps(verdict.to_dict(), sort_keys=True) and a newline for
-    the verdict with the realizability._reduction chain trace as its
-    certificate: the steps one by one as rendered, the rest from to_dict.
+    the verdict with a realizability._reduction chain trace as its
+    certificate: its rendered steps one by one, the rest from to_dict.
     """
     record = json.dumps(verdict.to_dict(), sort_keys=True)
     head, tail = record.split('"certificate": null', 1)
     write = sys.stdout.write
-    write(f'{head}"certificate": {{"kind": "trace", "outcome": {json.dumps(trace.outcome)}, ')
+    write(f'{head}"certificate": {{"kind": "trace", "outcome": {json.dumps(outcome)}, ')
     write('"steps": [')
-    steps = realizability._rendered_steps(trace.states, trace.rules, ", ")
     for i, (before, rule, after) in enumerate(steps):
         write(
             f'{", " if i else ""}{{"after": [{after}], "before": [{before}], '
@@ -107,7 +101,9 @@ def _emit_graph_json(payload: dict, g) -> None:
 
 
 def _cmd_check(args) -> int:
-    seq = _parse_seq(args, args.sequence)
+    from . import orders, realizability
+
+    seq = _parse_seq(orders, args, args.sequence)
     method = args.method
     certificate = trace = None
     c_graphical = realizability.is_c_graphical(seq) if args.connected else None
@@ -138,21 +134,25 @@ def _cmd_check(args) -> int:
     inconclusive = method == "certificate" and certificate is None
 
     if args.json and trace is not None:
-        _emit_trace_verdict_json(verdict, trace)
+        steps = realizability._rendered_steps(trace.states, trace.rules, ", ")
+        _emit_trace_verdict_json(verdict, steps, trace.outcome)
     elif args.json:
         payload = verdict.to_dict()
         if inconclusive:
             payload["conclusive"] = False
         _emit_json(payload)
     else:
-        _emit(f"sequence: {format_sequence(seq)}")
+        _emit(f"sequence: {orders.format_sequence(seq)}")
         _emit(f"graphical: {'yes' if graphical else 'no'} (method: {method})")
         if args.connected:
             _emit(f"c-graphical: {'yes' if c_graphical else 'no'}")
         if trace is not None:
-            _print_trace(trace)
+            steps = realizability._rendered_steps(trace.states, trace.rules, ",")
+            for before, rule, after in steps:
+                _emit(f"  {before} -[{rule}]-> {after}")
+            _emit(f"  {trace.outcome}")
         elif isinstance(certificate, realizability.NonGraphicalWitness):
-            _emit(f"witness: {format_sequence(certificate.witness)} (d={certificate.d})")
+            _emit(f"witness: {orders.format_sequence(certificate.witness)} (d={certificate.d})")
         elif isinstance(certificate, realizability.RealizationCertificate):
             _emit("realization: " + " ".join(f"{u}-{v}" for u, v in certificate.edges))
         elif inconclusive:
@@ -162,7 +162,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    seq = _parse_seq(args, args.sequence)
+    from . import graphs, orders, realizability
+
+    seq = _parse_seq(orders, args, args.sequence)
     try:
         if args.connected:
             g = realizability.realize_connected(seq)
@@ -177,15 +179,17 @@ def _cmd_realize(args) -> int:
     if args.json:
         _emit_graph_json({"sequence": list(seq), "realized": True, "n": g.n}, g)
     elif args.format == "dot":
-        _emit(to_dot(g))
+        _emit(graphs.to_dot(g))
     else:
-        _emit(to_edge_list_text(g))
+        _emit(graphs.to_edge_list_text(g))
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    x = _parse_seq(args, args.x)
-    y = _parse_seq(args, args.y)
+    from . import orders
+
+    x = _parse_seq(orders, args, args.x)
+    y = _parse_seq(orders, args, args.y)
     verdict = orders.compare(x, y, order=args.order)
     if args.json:
         _emit_json({"x": list(x), "y": list(y), "order": args.order, "verdict": verdict.value})
@@ -195,6 +199,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions, graphs, orders
+
     n, d = args.n, args.d
     if d < 0:
         if args.prime:
@@ -214,13 +220,15 @@ def _cmd_construct(args) -> int:
             _emit_json(payload)
         return EXIT_OK
     if args.emit in ("seq", "both"):
-        _emit(format_sequence(seq))
+        _emit(orders.format_sequence(seq))
     if args.emit in ("graph", "both"):
-        _emit(to_edge_list_text(g))
+        _emit(graphs.to_edge_list_text(g))
     return EXIT_OK
 
 
 def _cmd_maximal(args) -> int:
+    from . import maximal
+
     report = maximal.maximal_elements(args.n, args.d, oracle=args.oracle, max_n=args.max_n)
     cap = maximal.enumeration_cap(args.oracle, args.max_n)
     if cap > maximal.enumeration_cap(args.oracle):
@@ -235,8 +243,10 @@ def _cmd_maximal(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    x = _parse_seq(args, args.x)
-    y = _parse_seq(args, args.y)
+    from . import orders
+
+    x = _parse_seq(orders, args, args.x)
+    y = _parse_seq(orders, args, args.y)
     try:
         chain = orders.decompose_into_basic_transfers(x, y)
     except (NotMajorizedError, SumMismatchError) as exc:
@@ -260,7 +270,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_lorenz(args) -> int:
-    seq = _parse_seq(args, args.sequence)
+    from . import orders
+
+    seq = _parse_seq(orders, args, args.sequence)
     if args.nonnormalized:
         pts = orders.nonnormalized_lorenz_points(seq)
         if args.json:
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maximal", parents=[common], help="maximal sequences of connected graphs")
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--oracle", choices=maximal.ORACLES, default="both")
+    p.add_argument("--oracle", choices=ORACLES, default="both")
     p.add_argument("--full", action="store_true", help="also print the full image")
     p.add_argument(
         "--max-n",

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import EdgeExistsError, NoPathError, SelfLoopError
 from .orders import DegreeSequence
+from .record import Record
 
 Edge = tuple[int, int]
 VertexPath = tuple[int, ...]
@@ -32,10 +32,11 @@ def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Record):
     """n vertices 0..n-1 plus a frozenset of normalized (u, v) edges."""
 
+    __match_args__ = ("n", "edges")
+    __slots__ = (*__match_args__, "__dict__")  # the dict holds the cached adjacency
     n: int
     edges: frozenset[Edge]
 

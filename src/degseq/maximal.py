@@ -33,7 +33,6 @@ against them at run time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 from typing import Iterator
@@ -48,6 +47,7 @@ from .errors import (
 from .graphs import _connected
 from .orders import DegreeSequence, format_sequence, majorized
 from .realizability import erdos_gallai_violation
+from .record import Record
 
 # The graphs oracle's cost is its search over degree-ordered labelings. On a
 # 2-vCPU Xeon VM (Python 3.11), (8, 3) takes 0.6 s, (8, 6) 1.8 s and a full
@@ -197,14 +197,14 @@ def enumerate_connected_sequences(
     return by_graphs
 
 
-@dataclass(frozen=True)
-class MaximalSetReport:
+class MaximalSetReport(Record):
     """Image of the connected-graph poset plus its maximal elements.
 
     oracle_agreement records that both oracles ran and produced identical
     images (a mismatch would have raised instead of producing a report).
     """
 
+    __slots__ = __match_args__ = ("n", "d", "all_sequences", "maximal", "oracle_agreement")
     n: int
     d: int
     all_sequences: frozenset[DegreeSequence]

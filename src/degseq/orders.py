@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     IndexOutOfRangeError,
@@ -26,6 +24,10 @@ from .errors import (
     UnderflowError,
     ZeroSumError,
 )
+from .record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class DegreeSequence(tuple):
@@ -153,16 +155,16 @@ def compare(x: DegreeSequence, y: DegreeSequence, order: str = "generalized") ->
 # -- Lorenz curves ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LorenzCurve:
+class LorenzCurve(Record):
     """Polygonal curve from (0,0) to (1,1) through (k/N, prefix_k/total)."""
 
+    __slots__ = __match_args__ = ("points",)
     points: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if self.points[0] != (Fraction(0), Fraction(0)):
+        if self.points[0] != (0, 0):
             raise ValueError("Lorenz curve must start at the origin")
-        if self.points[-1] != (Fraction(1), Fraction(1)):
+        if self.points[-1] != (1, 1):
             raise ValueError("Lorenz curve must end at (1,1)")
         ys = [p[1] for p in self.points]
         if any(b < a for a, b in zip(ys, ys[1:])):
@@ -184,6 +186,8 @@ class LorenzCurve:
 
 def lorenz_curve(x: DegreeSequence) -> LorenzCurve:
     """Exact Lorenz curve of x; requires a positive total."""
+    from fractions import Fraction
+
     total = sum(x)
     if total <= 0:
         raise ZeroSumError("Lorenz curve needs a positive total")
@@ -200,8 +204,7 @@ def nonnormalized_lorenz_points(x: DegreeSequence) -> tuple[tuple[int, int], ...
 # -- unit transfers --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasicTransfer:
+class BasicTransfer(Record):
     """Move one unit from rank ``from_rank`` up to rank ``to_rank``.
 
     Ranks are 1-based positions in the sorted sequence, with
@@ -209,14 +212,16 @@ class BasicTransfer:
     h units is expressed as h consecutive unit transfers.
     """
 
-    to_rank: int
-    from_rank: int
+    __slots__ = __match_args__ = ("to_rank", "from_rank")
 
-    def __post_init__(self) -> None:
-        if self.to_rank < 1 or self.from_rank < 1:
+    # Record's constructor, spelled out: a chain builds one per unit transfer
+    def __init__(self, to_rank: int, from_rank: int) -> None:
+        if to_rank < 1 or from_rank < 1:
             raise ValueError("ranks are 1-based")
-        if not self.to_rank < self.from_rank:
+        if not to_rank < from_rank:
             raise ValueError("transfer must move a unit to a strictly higher rank")
+        object.__setattr__(self, "to_rank", to_rank)
+        object.__setattr__(self, "from_rank", from_rank)
 
 
 def apply_basic_transfer(x: DegreeSequence, t: BasicTransfer) -> DegreeSequence:
@@ -246,10 +251,10 @@ def apply_basic_transfer(x: DegreeSequence, t: BasicTransfer) -> DegreeSequence:
     return tuple.__new__(DegreeSequence, vals)
 
 
-@dataclass(frozen=True)
-class TransferChain:
+class TransferChain(Record):
     """A start sequence plus the unit transfers leading to a target."""
 
+    __slots__ = __match_args__ = ("start", "steps")
     start: DegreeSequence
     steps: tuple[BasicTransfer, ...]
 

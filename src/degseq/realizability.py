@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, pairwise
 from operator import mul, neg
 from typing import Optional, Union
 
-from .constructions import hub_fill_sequence, max_added_edges
 from .errors import (
     BadCountError,
     BadRankError,
@@ -53,13 +51,14 @@ from .orders import (
     format_sequence,
     majorized,
 )
+from .record import Record
 
 
 # -- verdicts and traces -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
+    __slots__ = __match_args__ = ("before", "rule", "after")
     before: DegreeSequence
     rule: str
     after: DegreeSequence
@@ -76,10 +75,10 @@ class TraceStep:
         )
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Record):
     """Ordered reduction steps plus the terminal outcome description."""
 
+    __slots__ = __match_args__ = ("steps", "outcome")
     steps: tuple[TraceStep, ...]
     outcome: str
 
@@ -98,8 +97,7 @@ class ReductionTrace:
         )
 
 
-@dataclass(frozen=True)
-class NonGraphicalWitness:
+class NonGraphicalWitness(Record):
     """A canonical hub-fill sequence strictly below the tested sequence.
 
     Any sequence strictly dominating the hub-fill sequence with the same
@@ -107,6 +105,7 @@ class NonGraphicalWitness:
     verdict.
     """
 
+    __slots__ = __match_args__ = ("d", "witness")
     d: int
     witness: DegreeSequence
 
@@ -118,10 +117,10 @@ class NonGraphicalWitness:
         return cls(d=data["d"], witness=DegreeSequence(data["witness"]))
 
 
-@dataclass(frozen=True)
-class RealizationCertificate:
+class RealizationCertificate(Record):
     """Edge list of a witnessing realization."""
 
+    __slots__ = __match_args__ = ("n", "edges")
     n: int
     edges: tuple[tuple[int, int], ...]
 
@@ -140,19 +139,20 @@ class RealizationCertificate:
 Certificate = Union[ReductionTrace, NonGraphicalWitness, RealizationCertificate]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a graphicality question, with the deciding method.
 
     c_graphical is None when the question was about plain graphicality.
     A True c_graphical always comes with graphical=True.
     """
 
+    __slots__ = __match_args__ = ("sequence", "graphical", "c_graphical", "method", "certificate")
+    _defaults = {"certificate": None}
     sequence: DegreeSequence
     graphical: bool
     c_graphical: Optional[bool]
     method: str
-    certificate: Optional[Certificate] = None
+    certificate: Optional[Certificate]
 
     def __post_init__(self) -> None:
         if self.c_graphical and not self.graphical:
@@ -479,6 +479,8 @@ def non_graphical_certificate(x: DegreeSequence) -> Optional[NonGraphicalWitness
     that total, and returns a witness iff it is strictly below x in the
     prefix-sum order. Returns None (inconclusive) otherwise.
     """
+    from .constructions import hub_fill_sequence, max_added_edges
+
     x = DegreeSequence(x)
     n = len(x)
     s = sum(x)

@@ -59,7 +59,8 @@ CASES = [
         (DegreeSequence([1, 1, 1, 1]), (BasicTransfer(1, 4),)),
         {"start": DegreeSequence([1, 1, 1, 1]), "steps": (BasicTransfer(1, 4),)},
         TransferChain(DegreeSequence([1, 1, 1, 1]), ()),
-        "TransferChain(start=DegreeSequence(1,1,1,1), steps=(BasicTransfer(to_rank=1, from_rank=4),))",
+        "TransferChain(start=DegreeSequence(1,1,1,1), "
+        "steps=(BasicTransfer(to_rank=1, from_rank=4),))",
     ),
     (
         TraceStep,
@@ -93,7 +94,8 @@ CASES = [
     (
         Verdict,
         (S11, True, None, "hh", TRACE),
-        {"sequence": S11, "graphical": True, "c_graphical": None, "method": "hh", "certificate": TRACE},
+        {"sequence": S11, "graphical": True, "c_graphical": None, "method": "hh",
+         "certificate": TRACE},
         Verdict(S11, True, None, "hh"),
         "Verdict(sequence=DegreeSequence(1,1), graphical=True, c_graphical=None, method='hh', "
         "certificate=ReductionTrace(steps=(TraceStep(before=DegreeSequence(1,1), rule='hh', "
