@@ -102,7 +102,6 @@ def _emit_graph_json(payload: dict, g) -> None:
 
 def _cmd_check(args) -> int:
     from . import orders, realizability
-
     seq = _parse_seq(orders, args, args.sequence)
     method = args.method
     certificate = trace = None
@@ -163,7 +162,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_realize(args) -> int:
     from . import graphs, orders, realizability
-
     seq = _parse_seq(orders, args, args.sequence)
     try:
         if args.connected:
@@ -187,7 +185,6 @@ def _cmd_realize(args) -> int:
 
 def _cmd_compare(args) -> int:
     from . import orders
-
     x = _parse_seq(orders, args, args.x)
     y = _parse_seq(orders, args, args.y)
     verdict = orders.compare(x, y, order=args.order)
@@ -200,7 +197,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_construct(args) -> int:
     from . import constructions, graphs, orders
-
     n, d = args.n, args.d
     if d < 0:
         if args.prime:
@@ -228,7 +224,6 @@ def _cmd_construct(args) -> int:
 
 def _cmd_maximal(args) -> int:
     from . import maximal
-
     report = maximal.maximal_elements(args.n, args.d, oracle=args.oracle, max_n=args.max_n)
     cap = maximal.enumeration_cap(args.oracle, args.max_n)
     if cap > maximal.enumeration_cap(args.oracle):
@@ -244,7 +239,6 @@ def _cmd_maximal(args) -> int:
 
 def _cmd_decompose(args) -> int:
     from . import orders
-
     x = _parse_seq(orders, args, args.x)
     y = _parse_seq(orders, args, args.y)
     try:
@@ -271,7 +265,6 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_lorenz(args) -> int:
     from . import orders
-
     seq = _parse_seq(orders, args, args.sequence)
     if args.nonnormalized:
         pts = orders.nonnormalized_lorenz_points(seq)

@@ -213,15 +213,14 @@ class BasicTransfer(Record):
     """
 
     __slots__ = __match_args__ = ("to_rank", "from_rank")
+    to_rank: int
+    from_rank: int
 
-    # Record's constructor, spelled out: a chain builds one per unit transfer
-    def __init__(self, to_rank: int, from_rank: int) -> None:
-        if to_rank < 1 or from_rank < 1:
+    def __post_init__(self) -> None:
+        if self.to_rank < 1 or self.from_rank < 1:
             raise ValueError("ranks are 1-based")
-        if not to_rank < from_rank:
+        if not self.to_rank < self.from_rank:
             raise ValueError("transfer must move a unit to a strictly higher rank")
-        object.__setattr__(self, "to_rank", to_rank)
-        object.__setattr__(self, "from_rank", from_rank)
 
 
 def apply_basic_transfer(x: DegreeSequence, t: BasicTransfer) -> DegreeSequence:

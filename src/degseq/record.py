@@ -1,41 +1,36 @@
 """Base class of the immutable records (graphs, curves, transfers, verdicts)."""
 
-_set = object.__setattr__
-
 
 class Record:
     """An immutable value object, in the manner of a frozen dataclass.
 
     A subclass lists its fields in ``__match_args__`` and stores them in
     ``__slots__``; ``_defaults`` maps a trailing field to its default value.
-    The constructor takes the fields by position or by keyword, sets each
-    once and then calls ``__post_init__``, where a subclass checks them.
-    Equality needs the same type and equal fields, the hash is that of the
-    field tuple, and the repr lists the fields by name.
+    Each subclass gets a constructor that takes the fields by position or by
+    keyword, sets each once and then calls ``__post_init__``, where the
+    subclass checks them. Equality needs the same type and equal fields, the
+    hash is that of the field tuple, and the repr lists the fields by name.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
     _defaults: dict = {}
 
-    def __init__(self, *args, **kwargs) -> None:
-        names = self.__match_args__
-        if kwargs or len(args) != len(names):
-            cls = type(self).__name__
-            if len(args) > len(names):
-                raise TypeError(f"{cls}() takes {len(names)} fields but {len(args)} were given")
-            values = {**self._defaults, **dict(zip(names, args))}
-            for name, value in kwargs.items():
-                if name not in names or name in names[: len(args)]:
-                    raise TypeError(f"{cls}() got an unexpected or repeated field {name!r}")
-                values[name] = value
-            missing = [name for name in names if name not in values]
-            if missing:
-                raise TypeError(f"{cls}() is missing the fields {', '.join(missing)}")
-            args = [values[name] for name in names]
-        for name, value in zip(names, args):
-            _set(self, name, value)
-        self.__post_init__()
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__match_args__" not in vars(cls):
+            return
+        # written out as source once per class, as for a dataclass: a generic
+        # constructor that binds *args and **kwargs itself is three times slower
+        names = cls.__match_args__
+        params = [f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names]
+        lines = [f"def __init__(self, {', '.join(params)}):"]
+        lines += [f"    _set(self, {n!r}, {n})" for n in names]
+        lines.append("    self.__post_init__()")
+        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __post_init__(self) -> None:
         """Check the fields; a record with rules overrides this."""
