@@ -186,7 +186,7 @@ class LorenzCurve(Record):
 
 def lorenz_curve(x: DegreeSequence) -> LorenzCurve:
     """Exact Lorenz curve of x; requires a positive total."""
-    from fractions import Fraction
+    from fractions import Fraction  # here, so that only Lorenz curves load it
 
     total = sum(x)
     if total <= 0:

@@ -479,7 +479,7 @@ def non_graphical_certificate(x: DegreeSequence) -> Optional[NonGraphicalWitness
     that total, and returns a witness iff it is strictly below x in the
     prefix-sum order. Returns None (inconclusive) otherwise.
     """
-    from .constructions import hub_fill_sequence, max_added_edges
+    from .constructions import hub_fill_sequence, max_added_edges  # only this needs the hub fill
 
     x = DegreeSequence(x)
     n = len(x)
