@@ -1,10 +1,12 @@
 """Which modules each `degseq` command loads.
 
-Every probe runs in a fresh interpreter: it imports `degseq.cli`, builds the
-parser, optionally runs one command line, and reports `sys.modules`. Building
-the parser must load no library module, each command loads only the modules
-it runs, and nothing loads `dataclasses` or `inspect`; only `lorenz` loads
-`fractions`.
+Every probe runs in a fresh interpreter started with `python -S`: it imports
+`degseq.cli`, builds the parser, optionally runs one command line, and
+reports `sys.modules`. Building the parser must load no library module, each
+command loads only the modules it runs, and nothing loads `dataclasses`,
+`inspect` or `typing`; only `lorenz` loads `fractions`. Without `-S`, `site`
+may import some of these itself (through a `.pth` file), which would hide
+an import of them by degseq.
 
 The checks need no pytest: `python tests/test_imports.py` runs them all.
 """
@@ -28,7 +30,7 @@ sys.stdout = out
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
-HEAVY = {"dataclasses", "inspect", "fractions"}
+HEAVY = {"dataclasses", "inspect", "fractions", "typing"}
 
 # command line (each exits 0) -> degseq modules it loads besides degseq, cli and errors
 COMMANDS = {
@@ -52,7 +54,7 @@ def probe(argv: list[str]) -> dict:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-S", "-c", PROBE, json.dumps(argv)],
         capture_output=True,
         text=True,
         env=env,
