@@ -18,8 +18,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from degseq.graphs import SimpleGraph, degree_sequence, is_connected
-from degseq.maximal import bounded_partitions
-from degseq.orders import DegreeSequence, decompose_into_basic_transfers, format_sequence
+from degseq.maximal import enumerate_connected_sequences
+from degseq.orders import decompose_into_basic_transfers, format_sequence
 from degseq.realizability import realize_via_domination
 
 
@@ -33,9 +33,10 @@ def main() -> int:
 
     star = SimpleGraph.from_edges(args.n, [(0, v) for v in range(1, args.n)])
     star_seq = degree_sequence(star)
-    total = 2 * (args.n - 1)
-    for part in bounded_partitions(total, args.n, max_part=args.n - 1, min_part=1):
-        seq = DegreeSequence(part)
+    # every positive sequence with total 2(n-1) is a tree's (Hakimi 1962), so
+    # the tree level of the partitions oracle lists them all; max_n lifts its cap
+    trees = enumerate_connected_sequences(args.n, 0, "partitions", max_n=args.n)
+    for seq in sorted(trees, reverse=True):
         chain = decompose_into_basic_transfers(seq, star_seq)
         tree = realize_via_domination(seq, star)
         assert is_connected(tree) and len(tree.edges) == args.n - 1

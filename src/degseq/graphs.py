@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable, Optional
 
 from .errors import EdgeExistsError, NoPathError, SelfLoopError
 from .orders import DegreeSequence
@@ -70,9 +70,6 @@ class SimpleGraph(Record):
 
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm(u, v) in self.edges
 
     def upper_neighbors(self) -> list[list[int]]:
         """Per vertex u, the ascending list of its neighbors v > u."""
@@ -135,7 +132,7 @@ def _unlink(adj: Adjacency, u: int, v: int) -> None:
     adj[v].remove(u)
 
 
-def _components(adj) -> tuple[list[int], Optional[Edge]]:
+def _components(adj) -> tuple[list[int], Edge | None]:
     """Root per vertex (the smallest vertex of its component) and the
     lexicographically first edge that lies on a cycle, or None on a forest.
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from operator import le
-from typing import Iterator
 
 from .constructions import max_added_edges
 from .errors import (
@@ -58,28 +57,6 @@ GRAPHS_ORACLE_MAX_N = 8
 PARTITIONS_ORACLE_MAX_N = 12
 
 ORACLES = ("graphs", "partitions", "both")
-
-
-def bounded_partitions(
-    total: int, length: int, max_part: int, min_part: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Non-increasing tuples of `length` entries in [min_part, max_part]
-    summing to `total`, in descending lexicographic order."""
-
-    def rec(remaining: int, slots: int, cap: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        hi = min(cap, remaining - min_part * (slots - 1))
-        lo = max(min_part, -(-remaining // slots))
-        for v in range(hi, lo - 1, -1):
-            acc.append(v)
-            yield from rec(remaining - v, slots - 1, v, acc)
-            acc.pop()
-
-    if length >= 1 and total >= 0:
-        yield from rec(total, length, max_part, [])
 
 
 def _check_nd(n: int, d: int, cap: int) -> None:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections.abc import Iterable
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     IndexOutOfRangeError,
@@ -25,9 +25,6 @@ from .errors import (
     ZeroSumError,
 )
 from .record import Record
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class DegreeSequence(tuple):
@@ -159,7 +156,7 @@ class LorenzCurve(Record):
     """Polygonal curve from (0,0) to (1,1) through (k/N, prefix_k/total)."""
 
     __slots__ = __match_args__ = ("points",)
-    points: tuple[tuple[Fraction, Fraction], ...]
+    points: tuple  # pairs (x, y) of fractions.Fraction
 
     def __post_init__(self) -> None:
         if self.points[0] != (0, 0):
@@ -169,10 +166,6 @@ class LorenzCurve(Record):
         ys = [p[1] for p in self.points]
         if any(b < a for a, b in zip(ys, ys[1:])):
             raise ValueError("Lorenz ordinates must be non-decreasing")
-
-    @property
-    def ordinates(self) -> tuple[Fraction, ...]:
-        return tuple(p[1] for p in self.points)
 
     def to_csv(self) -> str:
         """CSV rows with fractions rendered strictly as p/q."""
@@ -263,10 +256,6 @@ class TransferChain(Record):
         for t in self.steps:
             out.append(apply_basic_transfer(out[-1], t))
         return out
-
-    @property
-    def end(self) -> DegreeSequence:
-        return self.replay()[-1]
 
 
 def decompose_into_basic_transfers(x: DegreeSequence, y: DegreeSequence) -> TransferChain:

@@ -18,7 +18,6 @@ from collections import Counter, namedtuple
 from heapq import heappop, heappush
 from itertools import accumulate, pairwise
 from operator import mul, neg
-from typing import Optional, Union
 
 from .errors import (
     BadCountError,
@@ -136,9 +135,6 @@ class RealizationCertificate(Record):
         return cls(n=data["n"], edges=tuple((e[0], e[1]) for e in data["edges"]))
 
 
-Certificate = Union[ReductionTrace, NonGraphicalWitness, RealizationCertificate]
-
-
 class Verdict(Record):
     """Outcome of a graphicality question, with the deciding method.
 
@@ -150,9 +146,9 @@ class Verdict(Record):
     _defaults = {"certificate": None}
     sequence: DegreeSequence
     graphical: bool
-    c_graphical: Optional[bool]
+    c_graphical: bool | None
     method: str
-    certificate: Optional[Certificate]
+    certificate: ReductionTrace | NonGraphicalWitness | RealizationCertificate | None
 
     def __post_init__(self) -> None:
         if self.c_graphical and not self.graphical:
@@ -170,7 +166,7 @@ class Verdict(Record):
     @classmethod
     def from_dict(cls, data: dict) -> "Verdict":
         cert = data.get("certificate")
-        parsed: Optional[Certificate] = None
+        parsed = None
         if cert is not None:
             parsed = {
                 "trace": ReductionTrace.from_dict,
@@ -189,7 +185,7 @@ class Verdict(Record):
 # -- graphicality tests --------------------------------------------------
 
 
-def erdos_gallai_violation(x: DegreeSequence) -> Optional[tuple[int, int, int]]:
+def erdos_gallai_violation(x: DegreeSequence) -> tuple[int, int, int] | None:
     """First violated Erdős–Gallai inequality as (k, lhs, rhs), or None.
 
     The k-th inequality reads lhs = x_1 + ... + x_k <= rhs = k(k-1) +
@@ -259,7 +255,7 @@ def _runs(x: DegreeSequence) -> Runs:
     return list(counts), list(counts.values()), list(accumulate(counts.values()))
 
 
-def _lower(runs: Runs, links: int) -> Optional[Runs]:
+def _lower(runs: Runs, links: int) -> Runs | None:
     """Take the head out and subtract one from the links >= 1 largest
     remaining entries: the new runs, or None when a lowered entry is zero.
     The run of the last lowered value v is split, its unlowered part first
@@ -472,7 +468,7 @@ def reduce_to_constant(x: DegreeSequence) -> Verdict:
     return Verdict(x, graphical, None, "constant-reduction", trace)
 
 
-def non_graphical_certificate(x: DegreeSequence) -> Optional[NonGraphicalWitness]:
+def non_graphical_certificate(x: DegreeSequence) -> NonGraphicalWitness | None:
     """Witness of non-graphicality by strict domination over the hub fill.
 
     Computes d from the total, builds the canonical hub-fill sequence for

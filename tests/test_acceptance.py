@@ -8,6 +8,7 @@ per-criterion lines.
 import itertools
 import time
 
+from brute_partitions import partitions
 from degseq.constructions import (
     build_clique_fill,
     build_hub_fill,
@@ -18,7 +19,6 @@ from degseq.constructions import (
 )
 from degseq.graphs import SimpleGraph, degree_sequence, is_connected
 from degseq.maximal import (
-    bounded_partitions,
     enumerate_connected_sequences,
     maximal_elements,
 )
@@ -150,7 +150,7 @@ def test_criterion_3_domination_closure():
             else:
                 partition_cache[key] = [
                     D(p)
-                    for p in bounded_partitions(total, n, max_part=n - 1, min_part=1)
+                    for p in partitions(total, n, max_part=n - 1, min_part=1)
                 ]
         for x in partition_cache[key]:
             if not majorized(x, y):
@@ -251,7 +251,7 @@ def test_criterion_8_trees_and_deficits():
 
     trees = 0
     for n in range(2, 9):
-        for part in bounded_partitions(2 * (n - 1), n, max_part=n - 1, min_part=1):
+        for part in partitions(2 * (n - 1), n, max_part=n - 1, min_part=1):
             g = realize_connected(D(part))
             trees += 1
             assert is_connected(g)
@@ -262,7 +262,7 @@ def test_criterion_8_trees_and_deficits():
         for d in range(-(n - 1), 0):
             top, _ = incomplete_star(n, d)
             total = sum(top)
-            for part in bounded_partitions(total, n, max_part=n - 1, min_part=0):
+            for part in partitions(total, n, max_part=n - 1, min_part=0):
                 seq = D(part)
                 if majorized(seq, top):
                     deficits += 1

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import degseq.maximal as mx
+from brute_partitions import partitions
 from degseq.constructions import (
     clique_fill_sequence,
     hub_fill_sequence,
@@ -20,7 +21,6 @@ from degseq.errors import (
 from degseq.graphs import is_connected
 from degseq.maximal import (
     MaximalSetReport,
-    bounded_partitions,
     enumerate_connected_sequences,
     is_c_graphical_poset,
     maximal_elements,
@@ -29,25 +29,6 @@ from degseq.orders import DegreeSequence, majorized
 from degseq.realizability import erdos_gallai, is_c_graphical, realize_connected
 
 D = DegreeSequence
-
-
-class TestBoundedPartitions:
-    def test_tree_totals(self):
-        parts = list(bounded_partitions(8, 5, max_part=4, min_part=1))
-        assert parts == [(4, 1, 1, 1, 1), (3, 2, 1, 1, 1), (2, 2, 2, 1, 1)]
-
-    def test_empty_when_infeasible(self):
-        assert list(bounded_partitions(9, 2, max_part=4, min_part=1)) == []
-
-    def test_counts_match_brute_force(self):
-        for total in range(0, 12):
-            got = list(bounded_partitions(total, 4, max_part=5, min_part=0))
-            brute = [
-                c
-                for c in itertools.combinations_with_replacement(range(5, -1, -1), 4)
-                if sum(c) == total
-            ]
-            assert sorted(got) == sorted(brute)
 
 
 class TestEnumeration:
@@ -151,7 +132,7 @@ class TestPartitionsOracle:
                 total = 2 * (n - 1) + 2 * d
                 reference = {
                     D(p)
-                    for p in bounded_partitions(total, n, max_part=n - 1, min_part=1)
+                    for p in partitions(total, n, max_part=n - 1, min_part=1)
                     if erdos_gallai(D(p))
                 }
                 assert mx._sequences_by_partitions(n, d) == reference, (n, d)
@@ -312,7 +293,7 @@ class TestDominationClosure:
             for d in range(0, max_added_edges(n) + 1):
                 report = maximal_elements(n, d)
                 total = 2 * (n - 1) + 2 * d
-                for part in bounded_partitions(total, n, max_part=n - 1, min_part=1):
+                for part in partitions(total, n, max_part=n - 1, min_part=1):
                     seq = D(part)
                     if any(majorized(seq, top) for top in report.maximal):
                         assert seq in report.all_sequences, (n, d, seq)
@@ -324,7 +305,7 @@ class TestDominationClosure:
             for d in range(0, max_added_edges(n) + 1):
                 top = hub_fill_sequence(n, d)
                 image = enumerate_connected_sequences(n, d)
-                for part in bounded_partitions(sum(top), n, max_part=n - 1, min_part=1):
+                for part in partitions(sum(top), n, max_part=n - 1, min_part=1):
                     seq = D(part)
                     if majorized(seq, top):
                         assert seq in image, (n, d, seq)
@@ -334,7 +315,7 @@ class TestDominationClosure:
             for d in range(0, max_added_edges(n) + 1):
                 bottom = hub_fill_sequence(n, d)
                 image = enumerate_connected_sequences(n, d)
-                for part in bounded_partitions(sum(bottom), n, max_part=n - 1, min_part=1):
+                for part in partitions(sum(bottom), n, max_part=n - 1, min_part=1):
                     seq = D(part)
                     if majorized(bottom, seq) and seq != bottom:
                         assert seq not in image, (n, d, seq)
@@ -346,7 +327,7 @@ class TestTreeLevel:
         for n in range(2, 8):
             image = enumerate_connected_sequences(n, 0)
             expected = {
-                D(p) for p in bounded_partitions(2 * (n - 1), n, max_part=n - 1, min_part=1)
+                D(p) for p in partitions(2 * (n - 1), n, max_part=n - 1, min_part=1)
             }
             assert image == expected
             for seq in image:

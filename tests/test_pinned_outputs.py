@@ -25,10 +25,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import legacy_reference as legacy
+from brute_partitions import partitions
 from degseq.constructions import build_clique_fill, build_hub_fill, max_added_edges
 from degseq.cli import main
 from degseq.graphs import SimpleGraph, degree_sequence
-from degseq.maximal import bounded_partitions
 from degseq.orders import DegreeSequence, decompose_into_basic_transfers, majorized
 from degseq.realizability import (
     apply_inverse_transfer,
@@ -110,8 +110,7 @@ def test_realize_via_domination_from_the_star_up_to_7():
     count = 0
     for n in range(2, 8):
         g = star(n)
-        for part in bounded_partitions(2 * (n - 1), n, max_part=n - 1, min_part=1):
-            x = D(part)
+        for x in map(D, partitions(2 * (n - 1), n, max_part=n - 1, min_part=1)):
             assert realize_via_domination(x, g) == legacy.realize_via_domination(x, g), x
             count += 1
     assert count == 19
