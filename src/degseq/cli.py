@@ -91,12 +91,12 @@ def _emit_trace_verdict_json(verdict, steps, outcome: str) -> None:
     write(f"]}}{tail}\n")
 
 
-def _emit_graph_json(payload: dict, g) -> None:
-    """Write json.dumps({**payload, "edges": [list(e) for e in g.sorted_edges()]},
-    sort_keys=True) and a newline, the edges one run per vertex's upper neighbors."""
+def _emit_graph_json(payload: dict, up: list[list[int]]) -> None:
+    """Write json.dumps({**payload, "edges": [[u, v], ...]}, sort_keys=True) and a
+    newline, the edges (u, v) ascending, read off the upper neighbor lists up."""
+    from .graphs import _edge_runs
     head, tail = json.dumps({**payload, "edges": None}, sort_keys=True).split('"edges": null', 1)
-    up = g.upper_neighbors()
-    runs = (f"[{u}, " + f"], [{u}, ".join(map(str, vs)) + "]" for u, vs in enumerate(up) if vs)
+    runs = _edge_runs(up, "[", ", ", "]", ", ")
     sys.stdout.write(f'{head}"edges": [{", ".join(runs)}]{tail}\n')
 
 
@@ -107,9 +107,9 @@ def _cmd_check(args) -> int:
     certificate = trace = None
     c_graphical = realizability.is_c_graphical(seq) if args.connected else None
     if c_graphical:  # implies graphical; the realization is printed, so no trace is built
-        graphical, certificate = True, realizability.RealizationCertificate.from_graph(
-            realizability.realize_connected(seq)
-        )
+        up = realizability._realization(seq, True)
+        edges = tuple((u, v) for u, vs in enumerate(up) for v in vs)
+        graphical, certificate = True, realizability.RealizationCertificate(len(seq), edges)
     elif method in ("hh", "constant"):  # the trace is printed from its runs
         budget = max(TRACE_BUDGET, args.max_trace or 0)
         constant = method == "constant"
@@ -164,10 +164,7 @@ def _cmd_realize(args) -> int:
     from . import graphs, orders, realizability
     seq = _parse_seq(orders, args, args.sequence)
     try:
-        if args.connected:
-            g = realizability.realize_connected(seq)
-        else:
-            g = realizability.realize(seq)
+        up = realizability._realization(seq, args.connected)
     except (NotGraphicalError, NotCGraphicalError) as exc:
         if args.json:
             _emit_json({"sequence": list(seq), "realized": False, "reason": str(exc)})
@@ -175,11 +172,11 @@ def _cmd_realize(args) -> int:
             print(f"not realizable: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     if args.json:
-        _emit_graph_json({"sequence": list(seq), "realized": True, "n": g.n}, g)
+        _emit_graph_json({"sequence": list(seq), "realized": True, "n": len(up)}, up)
     elif args.format == "dot":
-        _emit(graphs.to_dot(g))
+        _emit(graphs._dot(up))
     else:
-        _emit(graphs.to_edge_list_text(g))
+        _emit(graphs._edge_list_text(up))
     return EXIT_OK
 
 
@@ -211,7 +208,7 @@ def _cmd_construct(args) -> int:
     if args.json:
         payload = {"n": n, "d": d, "prime": bool(args.prime), "sequence": list(seq)}
         if args.emit in ("graph", "both"):
-            _emit_graph_json(payload, g)
+            _emit_graph_json(payload, g.upper_neighbors())
         else:
             _emit_json(payload)
         return EXIT_OK

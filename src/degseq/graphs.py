@@ -10,7 +10,11 @@ sorting those short lists.
 Algorithms that edit one graph many times (the realizations and the
 rewiring chains in `realizability`) work on a mutable adjacency, a list
 of ascending neighbor lists, with the package-internal helpers at the end
-of this module, and freeze it into a SimpleGraph once.
+of this module, and freeze it into a SimpleGraph once. The realizations
+keep only each vertex's larger neighbors, all that union-find and their
+swaps read; the edge-list and DOT renderers read such lists too, of a
+SimpleGraph or of a realization, so the CLI prints a realization without
+building a graph.
 """
 
 from __future__ import annotations
@@ -118,7 +122,8 @@ def _thaw(g: SimpleGraph) -> Adjacency:
 
 
 def _freeze(adj: Adjacency) -> SimpleGraph:
-    edges = frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+    """The SimpleGraph of adj, full neighbor lists or only the larger neighbors."""
+    edges = frozenset([(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v])
     return SimpleGraph(len(adj), edges)
 
 
@@ -201,19 +206,37 @@ def _path(adj, i: int, j: int) -> VertexPath:
 
 
 # -- text formats ------------------------------------------------------------
+#
+# The renderers read per vertex u the ascending list of its neighbors v > u
+# (SimpleGraph.upper_neighbors, or the lists a realization is built on),
+# build no edge tuple and turn each vertex number into a string once.
+
+
+def _edge_runs(up: list[list[int]], head: str, sep: str, tail: str, join: str = ""):
+    """Yield one string per vertex u with upper neighbors: head u sep v tail
+    per neighbor v, in ascending order, the pieces separated by join."""
+    names = list(map(str, range(len(up))))
+    name = names.__getitem__
+    for u, vs in enumerate(up):
+        if vs:
+            pre = head + names[u] + sep
+            yield pre + (tail + join + pre).join(map(name, vs)) + tail
+
+
+def _edge_list_text(up: list[list[int]]) -> str:
+    return f"{len(up)} {sum(map(len, up))}\n" + "".join(_edge_runs(up, "", " ", "\n"))
+
+
+def _dot(up: list[list[int]]) -> str:
+    vertices = "".join(f"  {v};\n" for v in range(len(up)))
+    return "graph G {\n" + vertices + "".join(_edge_runs(up, "  ", " -- ", ";\n")) + "}\n"
 
 
 def to_edge_list_text(g: SimpleGraph) -> str:
     """First line "n m", then one "u v" line per edge, ascending."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(lines) + "\n"
+    return _edge_list_text(g.upper_neighbors())
 
 
 def to_dot(g: SimpleGraph) -> str:
     """Undirected DOT text for human inspection, default styling."""
-    lines = ["graph G {"]
-    lines.extend(f"  {v};" for v in range(g.n))
-    lines.extend(f"  {u} -- {v};" for u, v in g.sorted_edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(g.upper_neighbors())

@@ -13,11 +13,11 @@ time.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter, namedtuple
 from heapq import heappop, heappush
-from itertools import accumulate, pairwise
-from operator import mul, neg
+from itertools import accumulate, chain, pairwise, repeat
+from operator import add, lt, mul, neg
 
 from .errors import (
     BadCountError,
@@ -32,9 +32,7 @@ from .errors import (
 )
 from .graphs import (
     Adjacency,
-    Edge,
     SimpleGraph,
-    _adjacency_lists,
     _components,
     _connected,
     _freeze,
@@ -508,26 +506,29 @@ def is_c_graphical(x: DegreeSequence) -> bool:
 # -- realization construction ------------------------------------------------
 
 
-def _greedy_edges(x: DegreeSequence) -> list[Edge]:
-    """Edges of the greedy realization of a graphical x; see realize.
+def _greedy(x: DegreeSequence) -> Adjacency:
+    """Per vertex u, the ascending list of its neighbors v > u in the greedy
+    realization of a graphical x; see realize.
 
     Degree buckets: buckets[r] is a heap of the vertices with residual r.
     The head is the smallest index in the top bucket, and its targets are
     popped from the buckets downwards, smallest index first, which is the
     (-residual, index) order. Targets go back one bucket lower only after
-    all of them are chosen. O((n + m) log n).
+    all of them are chosen. Each edge goes on the list of its smaller end;
+    heads need not come in index order, so each list is sorted once at the
+    end. O((n + m) log n).
     """
     n = len(x)
     top = x[0]
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
     for v in range(n):  # ascending lists are heaps
         buckets[x[v]].append(v)
-    edges: list[Edge] = []
+    up: Adjacency = [[] for _ in range(n)]
     while True:
         while top and not buckets[top]:
             top -= 1
         if top == 0:
-            return edges
+            break
         u, d = heappop(buckets[top]), top
         targets: list[tuple[int, int]] = []  # (vertex, its residual)
         r = d
@@ -539,9 +540,58 @@ def _greedy_edges(x: DegreeSequence) -> list[Edge]:
         if len(targets) < d:
             raise InternalInconsistencyError("greedy realization ran out of targets")
         for v, r in targets:
-            edges.append((u, v) if u < v else (v, u))
+            if u < v:
+                up[u].append(v)
+            else:
+                up[v].append(u)
             if r > 1:
                 heappush(buckets[r - 1], v)
+    for vs in up:
+        vs.sort()
+    return up
+
+
+def _check_realization(x: DegreeSequence, up: Adjacency) -> None:
+    """Raise InternalInconsistencyError unless the lists up describe a simple
+    graph in which vertex v has degree x[v]: up[u] strictly ascending, above
+    u and below n, so each edge is listed once, at its smaller end. O(n + m)."""
+    n = len(x)
+    for u, vs in enumerate(up):
+        if vs and not all(map(lt, [u, *vs], [*vs, n])):  # u < vs[0] < ... < vs[-1] < n
+            raise InternalInconsistencyError(
+                f"the neighbors above vertex {u} are not strictly ascending in {u + 1}..{n - 1}"
+            )
+    below = Counter(chain.from_iterable(up))  # per vertex, its neighbors below it
+    if list(map(add, map(len, up), map(below.get, range(n), repeat(0)))) != list(x):
+        raise InternalInconsistencyError("the realization has the wrong degrees")
+
+
+def _realization(x: DegreeSequence, connected: bool) -> Adjacency:
+    """Per vertex u, the ascending list of its neighbors v > u in realize(x),
+    or with connected in realize_connected(x), checked by _check_realization;
+    the error of that function when x has no such realization."""
+    if connected and not is_c_graphical(x):
+        raise NotCGraphicalError(f"{format_sequence(x)} is not c-graphical")
+    if not connected and not erdos_gallai(x):
+        raise NotGraphicalError(f"{format_sequence(x)} is not graphical")
+    up = _greedy(x)
+    while connected:
+        roots, cycle = _components(up)
+        if not any(roots):
+            break
+        if cycle is None:
+            raise InternalInconsistencyError("no cycle edge in a graph that must have one")
+        a, b = cycle
+        # every vertex has degree >= 1, and the first vertex outside a's
+        # component is the smallest of its own, so its first edge is in up
+        c = next(v for v, r in enumerate(roots) if r != roots[a])
+        d = up[c][0]
+        up[a].remove(b)
+        up[c].remove(d)
+        insort(up[min(a, c)], max(a, c))
+        insort(up[min(b, d)], max(b, d))
+    _check_realization(x, up)
+    return up
 
 
 def realize(x: DegreeSequence) -> SimpleGraph:
@@ -549,12 +599,10 @@ def realize(x: DegreeSequence) -> SimpleGraph:
 
     The head is the smallest vertex among those of largest residual
     degree; it is joined to the next largest residuals, smaller vertex
-    first, and leaves the pool. O((n + m) log n) with degree buckets.
+    first, and leaves the pool. O((n + m) log n) with degree buckets, on
+    lists of larger neighbors that are checked and frozen once.
     """
-    x = DegreeSequence(x)
-    if not erdos_gallai(x):
-        raise NotGraphicalError(f"{format_sequence(x)} is not graphical")
-    return SimpleGraph(len(x), frozenset(_greedy_edges(x)))
+    return _freeze(_realization(DegreeSequence(x), False))
 
 
 def realize_connected(x: DegreeSequence) -> SimpleGraph:
@@ -564,28 +612,11 @@ def realize_connected(x: DegreeSequence) -> SimpleGraph:
     lexicographically first edge {a,b} on a cycle against the first edge
     {c,d} of another component for {a,c},{b,d}, which merges the two
     components without touching any degree. Feasibility is exactly the
-    operational c-graphicality test. The swaps edit one mutable adjacency,
-    and each merge runs one union-find pass over it, near-linear in m.
+    operational c-graphicality test. The swaps edit the greedy's lists of
+    larger neighbors, and each merge runs one union-find pass over them,
+    near-linear in m; the lists are checked and frozen once.
     """
-    x = DegreeSequence(x)
-    if not is_c_graphical(x):
-        raise NotCGraphicalError(f"{format_sequence(x)} is not c-graphical")
-    adj = _adjacency_lists(len(x), _greedy_edges(x))
-    while True:
-        roots, cycle = _components(adj)
-        if not any(roots):
-            return _freeze(adj)
-        if cycle is None:
-            raise InternalInconsistencyError("no cycle edge in a graph that must have one")
-        a, b = cycle
-        # every vertex has degree >= 1, so the first vertex outside a's
-        # component starts the first edge outside it
-        c = next(v for v, r in enumerate(roots) if r != roots[a])
-        d = adj[c][0]
-        _unlink(adj, a, b)
-        _unlink(adj, c, d)
-        _link(adj, a, c)
-        _link(adj, b, d)
+    return _freeze(_realization(DegreeSequence(x), True))
 
 
 # -- order-driven rewiring ---------------------------------------------------

@@ -22,7 +22,7 @@ from degseq.constructions import (
     hub_fill_sequence,
     incomplete_star,
 )
-from degseq.graphs import degree_sequence
+from degseq.graphs import SimpleGraph, degree_sequence, to_dot, to_edge_list_text
 from degseq.maximal import MaximalSetReport, maximal_elements
 from degseq.orders import DegreeSequence, majorized
 from degseq.realizability import (
@@ -171,6 +171,23 @@ class TestRealize:
         assert out.startswith("graph G {")
         assert "0 -- 1;" in out
 
+    def test_builds_no_graph_value(self, capsys, monkeypatch):
+        """`realize` and `check --connected` print from the neighbor lists:
+        no SimpleGraph is built, and the output stays the same."""
+        runs = [
+            ["realize", "4,3,3,3,1", *flags]
+            for flags in ([], ["--json"], ["--format", "dot"], ["--connected"])
+        ]
+        runs += [["check", "4,3,3,3,1", "--connected", *flags] for flags in ([], ["--json"])]
+        expected = [run(capsys, *argv) for argv in runs]
+
+        def forbidden(graph):
+            raise AssertionError("built a SimpleGraph")
+
+        monkeypatch.setattr(SimpleGraph, "__post_init__", forbidden)
+        assert [run(capsys, *argv) for argv in runs] == expected
+        assert all(code == 0 for code, _, _ in expected)
+
 
 def graph_json(payload, g):
     """The graph record as json.dumps writes it, one list per sorted edge."""
@@ -179,25 +196,31 @@ def graph_json(payload, g):
 
 
 class TestGraphJson:
-    """`realize --json` and `construct --emit graph|both --json` print the
-    bytes of json.dumps with one list per edge, from the sorted edge tuples."""
+    """`realize` in every format, and `construct --emit graph|both --json`,
+    print what the library graph renders to: JSON the bytes of json.dumps
+    with one list per edge from the sorted edge tuples, text and DOT
+    to_edge_list_text and to_dot."""
 
     @staticmethod
-    def realize_json(*argv):
+    def realize_cli(*argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["realize", *argv, "--json"])
+            code = main(["realize", *argv])
         return code, out.getvalue()
 
     def assert_realize_pinned(self, seq):
         literal = ",".join(map(str, seq))
         record = {"sequence": list(seq), "realized": True, "n": len(seq)}
-        assert self.realize_json(literal) == (0, graph_json(record, realize(seq)))
-        code, out = self.realize_json(literal, "--connected")
+        realizations = [([], realize(seq))]
         if is_c_graphical(seq):
-            assert (code, out) == (0, graph_json(record, realize_connected(seq)))
+            realizations.append((["--connected"], realize_connected(seq)))
         else:
+            code, out = self.realize_cli(literal, "--connected", "--json")
             assert code == 1 and json.loads(out)["realized"] is False
+        for flags, g in realizations:
+            assert self.realize_cli(literal, *flags, "--json") == (0, graph_json(record, g))
+            assert self.realize_cli(literal, *flags) == (0, to_edge_list_text(g))
+            assert self.realize_cli(literal, *flags, "--format", "dot") == (0, to_dot(g))
 
     @settings(max_examples=40, deadline=None)
     @given(random_graphs().map(degree_sequence))

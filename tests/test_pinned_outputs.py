@@ -6,6 +6,9 @@ step. The library's rewrites must return exactly the same edge sets and
 chains (and raise the same errors), exhaustively at small sizes and on
 random inputs up to n = 60.
 
+`degseq realize` must print those realizations, in every format, with the
+edges in the order of the sorted edge tuples, exhaustively up to n = 7.
+
 It also keeps the re-sorting Havel–Hakimi and constant reductions and the
 `check` command's rendering of their traces. `degseq check --method
 hh|constant` must print the same stdout and stderr and exit with the same
@@ -18,6 +21,7 @@ equal traces and verdicts on the same inputs.
 import contextlib
 import io
 import itertools
+import json
 import random
 import sys
 
@@ -26,6 +30,7 @@ from hypothesis import given, settings
 
 import legacy_reference as legacy
 from brute_partitions import partitions
+from test_graphs import sorted_dot, sorted_edge_list_text
 from degseq.constructions import build_clique_fill, build_hub_fill, max_added_edges
 from degseq.cli import main
 from degseq.graphs import SimpleGraph, degree_sequence
@@ -221,13 +226,11 @@ def test_realize_4_regular_20000():
     assert all(g.degree(v) == 4 for v in range(n))
 
 
-# -- `check --method hh|constant` against the re-sorting reductions ---------
+# -- `realize` output against the legacy realizations ----------------------
 
-CHECK_FLAGS = [
-    [method, *extra]
-    for method in ("hh", "constant")
-    for extra in ([], ["--json"], ["--connected"], ["--json", "--connected"])
-]
+
+def sorted_graph_json(record, g):
+    return json.dumps({**record, "edges": [list(e) for e in sorted(g.edges)]}, sort_keys=True) + "\n"
 
 
 def cli_outcome(entry, argv, stdin=""):
@@ -241,6 +244,43 @@ def cli_outcome(entry, argv, stdin=""):
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+def realize_outcome(literal, *flags):
+    return cli_outcome(main, ["realize", literal, *flags])
+
+
+def test_realize_cli_every_graphical_sequence_up_to_7():
+    """`realize` prints the legacy realization, its edges in tuple-sort
+    order: as text, --json, --format dot and --connected."""
+    count = 0
+    for n in range(1, 8):
+        for x in nonincreasing(n, n - 1):
+            if not erdos_gallai(x):
+                continue
+            literal = ",".join(map(str, x))
+            g = legacy.realize(x)
+            record = {"sequence": list(x), "realized": True, "n": n}
+            assert realize_outcome(literal) == (0, sorted_edge_list_text(g), "")
+            assert realize_outcome(literal, "--json") == (0, sorted_graph_json(record, g), "")
+            assert realize_outcome(literal, "--format", "dot") == (0, sorted_dot(g), "")
+            if is_c_graphical(x):
+                expected = (0, sorted_edge_list_text(legacy.realize_connected(x)), "")
+            else:
+                _, _, message = outcome(legacy.realize_connected, x)
+                expected = (1, "", f"not realizable: {message}\n")
+            assert realize_outcome(literal, "--connected") == expected
+            count += 1
+    assert count == 493
+
+
+# -- `check --method hh|constant` against the re-sorting reductions ---------
+
+CHECK_FLAGS = [
+    [method, *extra]
+    for method in ("hh", "constant")
+    for extra in ([], ["--json"], ["--connected"], ["--json", "--connected"])
+]
 
 
 def assert_check_pinned(literal, flags, stdin=""):

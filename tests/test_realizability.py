@@ -517,6 +517,61 @@ class TestRealizeConnected:
         assert "no cycle edge" in capsys.readouterr().err
 
 
+class TestRealizationCheck:
+    """The lists a realization is built on, each vertex's larger neighbors,
+    are checked before they are frozen or printed: a greedy that loses an
+    edge, or any list that is not strictly ascending between its own vertex
+    and n, is an internal inconsistency in the library and in the CLI."""
+
+    @pytest.fixture
+    def dropping_greedy(self, monkeypatch):
+        greedy = realizability._greedy
+
+        def drop_first_edge(x):
+            up = greedy(x)
+            up[0].pop(0)
+            return up
+
+        monkeypatch.setattr(realizability, "_greedy", drop_first_edge)
+
+    @pytest.mark.parametrize("fn", [realize, realize_connected])
+    def test_a_dropped_edge_is_caught(self, dropping_greedy, fn):
+        with pytest.raises(InternalInconsistencyError, match="wrong degrees"):
+            fn(D((3, 3, 3, 3)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["realize", "3,3,3,3"],
+            ["realize", "3,3,3,3", "--json"],
+            ["realize", "3,3,3,3", "--format", "dot"],
+            ["realize", "3,3,3,3", "--connected"],
+            ["check", "3,3,3,3", "--connected"],
+        ],
+    )
+    def test_a_dropped_edge_fails_the_cli(self, dropping_greedy, capsys, argv):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal inconsistency: the realization has the wrong degrees\n"
+
+    @pytest.mark.parametrize(
+        "x, up",
+        [
+            ((1, 1), [[], []]),  # an edge missing
+            ((2, 2), [[1, 1], []]),  # a repeated edge
+            ((2, 1, 1), [[2, 1], [], []]),  # descending
+            ((2, 1), [[0, 1], []]),  # a self-loop
+            ((1, 1), [[], [0]]),  # listed at its larger end
+            ((2, 1), [[1, 2], []]),  # past the last vertex
+        ],
+        ids=["missing", "repeated", "descending", "self-loop", "larger-end", "past-n"],
+    )
+    def test_broken_lists_are_caught(self, x, up):
+        with pytest.raises(InternalInconsistencyError):
+            realizability._check_realization(D(x), up)
+
+
 class TestInverseTransfer:
     def test_star_transfer(self):
         h = apply_inverse_transfer(star(5), 1, 2)
