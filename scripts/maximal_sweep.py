@@ -37,7 +37,7 @@ def main() -> int:
         if args.max_d is not None:
             d_top = min(d_top, args.max_d)
         for d in range(0, d_top + 1):
-            report = maximal_elements(n, d, oracle=args.oracle)
+            report = maximal_elements(n, d, oracle=args.oracle, max_n=args.max_n)
             hub = hub_fill_sequence(n, d)
             clique = clique_fill_sequence(n, d)
             heads_ok = all(s[0] == n - 1 for s in report.maximal)

@@ -12,9 +12,12 @@ ways, the set of degree sequences realized by connected graphs:
   a branch when deg[i] is 0, when a later vertex already has a larger
   degree, or when the edges still to place exceed what the later vertices
   can take with each capped at deg[i]; it adds (i, j) only while deg[i] is
-  below deg[i-1]. Connectivity is tested once per new degree vector, by a
-  union-find pass over the chosen pairs, and the oracle never consults
-  Erdős–Gallai;
+  below deg[i-1]. The search carries the components of vertices i..n-1
+  and drops a branch once vertex i's component is closed: i picks no later
+  neighbour and no later vertex shares it. What remains to decide after
+  vertex i-1 depends only on the edges left, deg[i-1] and the degrees and
+  components of vertices i..n-1, so the search is memoized on that state
+  within one call. The oracle never consults Erdős–Gallai;
 * partitions oracle: every positive non-increasing length-n sequence with
   the right total that passes the Erdős–Gallai test (with a total of at
   least 2(n-1), a positive graphical sequence has a connected realization,
@@ -43,16 +46,16 @@ from .errors import (
     OracleMismatchError,
     OutOfRangeError,
 )
-from .graphs import _connected
 from .orders import DegreeSequence, format_sequence, majorized
 from .realizability import erdos_gallai_violation
 from .record import Record
 
-# The graphs oracle's cost is its search over degree-ordered labelings. On a
-# 2-vCPU Xeon VM (Python 3.11), (8, 3) takes 0.6 s, (8, 6) 1.8 s and a full
-# n = 8 sweep (22 levels) 8-12 s; at n = 9, (9, 3) takes 10 s and (9, 6),
-# (9, 9) and (9, 12) 43-67 s each, so a full n = 9 sweep takes about a
-# quarter of an hour. Callers may override per call, at their own expense.
+# The graphs oracle's cost is its memoized search over degree-ordered
+# labelings. On a 2-vCPU Xeon VM (Python 3.11), (8, 3) takes 0.11 s, (8, 6)
+# 0.15 s and a full n = 8 sweep (22 levels) 1.4 s; at n = 9, (9, 3) takes
+# 0.6 s, (9, 6), (9, 9) and (9, 12) 0.8-1.4 s each and a full n = 9 sweep
+# (29 levels) 15 s; (10, 3) takes 5 s. Callers may override per call, at
+# their own expense.
 GRAPHS_ORACLE_MAX_N = 8
 PARTITIONS_ORACLE_MAX_N = 12
 
@@ -68,42 +71,54 @@ def _check_nd(n: int, d: int, cap: int) -> None:
 
 @lru_cache(maxsize=None)
 def _sequences_by_graphs(n: int, d: int) -> frozenset[DegreeSequence]:
-    deg = [0] * n
-    above: list[tuple[int, ...]] = [()] * n  # the later neighbours chosen for i, ascending
-    confirmed: set[tuple[int, ...]] = set()
+    memo: dict[tuple, set[tuple[int, ...]]] = {}
 
-    def block(i: int, left: int) -> None:
-        # the pairs (k, i) with k < i are decided; pick i's later neighbours
-        if i == n - 1:
-            key = tuple(deg)
-            if left == 0 and deg[i] and key not in confirmed and _connected(above):
-                confirmed.add(key)
-            return
-        later = range(i + 1, n)
-        rest = deg[i + 1 :]
+    def block(left: int, prev: int, deg: tuple[int, ...], comp: tuple[int, ...]):
+        # the pairs (k, i) with k < i are decided, i = n - len(deg): vertex
+        # i-1 ended at degree prev, vertices i..n-1 have degrees deg and
+        # components comp, numbered in first-seen order, and every earlier
+        # vertex is joined to one of them. Pick i's later neighbours; the
+        # result is every final degree tuple of vertices i..n-1
+        key = (left, prev, deg, comp)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        found = memo[key] = set()
+        if len(deg) == 1:
+            if left == 0 and deg[0]:
+                found.add(deg)
+            return found
+        now, rest = deg[0], deg[1:]
+        label, later = comp[0], comp[1:]
         high = max(rest)
         base = sum(rest)
-        room = deg[i - 1] - deg[i] if i else len(later)
-        for size in range(min(room, len(later), left) + 1):
+        for size in range(min(prev - now, len(rest), left) + 1):
             # deg[i] ends at top: prune on a zero, on a later vertex above
             # top, and on more edges left than the later vertices can take
             # when each is capped at top; a later vertex already at top
-            # cannot be chosen
-            top = deg[i] + size
-            if top == 0 or high > top or 2 * (left - size) > top * len(later) - base - size:
+            # cannot be chosen, and i's component closes without reaching
+            # vertex n-1 if i picks none and no later vertex shares it
+            top = now + size
+            if top == 0 or high > top or 2 * (left - size) > top * len(rest) - base - size:
                 continue
-            deg[i] = top
-            for chosen in itertools.combinations([j for j in later if deg[j] < top], size):
-                above[i] = chosen
+            if not size and label not in later:
+                continue
+            free = [j for j, r in enumerate(rest) if r < top]
+            for chosen in itertools.combinations(free, size):
+                grown = list(rest)
                 for j in chosen:
-                    deg[j] += 1
-                block(i + 1, left - size)
-                for j in chosen:
-                    deg[j] -= 1
-            deg[i] = top - size
+                    grown[j] += 1
+                merged = {label, *(later[j] for j in chosen)}
+                names: dict[int, int] = {}
+                joined = tuple(
+                    names.setdefault(label if c in merged else c, len(names)) for c in later
+                )
+                for tail in block(left - size, top, tuple(grown), joined):
+                    found.add((top, *tail))
+        return found
 
-    block(0, n - 1 + d)
-    return frozenset(DegreeSequence._from_sorted(k) for k in confirmed)
+    tails = block(n - 1 + d, n - 1, (0,) * n, tuple(range(n)))
+    return frozenset(DegreeSequence._from_sorted(k) for k in tails)
 
 
 @lru_cache(maxsize=None)

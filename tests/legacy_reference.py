@@ -16,11 +16,16 @@ The pinning tests compare the library against these:
   rendering of their traces (`format_sequence`, `_print_trace`,
   `_cmd_check`, and `main`'s exit-code mapping): `degseq check --method
   hh|constant` must print the same bytes on stdout and stderr and exit
-  with the same code.
+  with the same code;
+- the graphs oracle's plain depth-first search over degree-ordered
+  labelings (`sequences_by_graphs`), which tests each new degree vector
+  for connectivity with one union-find pass: the memoized
+  `maximal._sequences_by_graphs` must return the same set.
 Only the imports differ, and a call to one of the copied functions resolves
 to its copy here. Do not optimize them.
 """
 
+import itertools
 import json
 import sys
 from typing import Iterable
@@ -50,6 +55,7 @@ from degseq.graphs import (
     SimpleGraph,
     VertexPath,
     _components,
+    _connected,
     _norm,
     _path,
     degree_sequence,
@@ -513,3 +519,42 @@ def main(argv: list[str]) -> int:
     except (DegseqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def sequences_by_graphs(n: int, d: int) -> frozenset[DegreeSequence]:
+    deg = [0] * n
+    above: list[tuple[int, ...]] = [()] * n  # the later neighbours chosen for i, ascending
+    confirmed: set[tuple[int, ...]] = set()
+
+    def block(i: int, left: int) -> None:
+        # the pairs (k, i) with k < i are decided; pick i's later neighbours
+        if i == n - 1:
+            key = tuple(deg)
+            if left == 0 and deg[i] and key not in confirmed and _connected(above):
+                confirmed.add(key)
+            return
+        later = range(i + 1, n)
+        rest = deg[i + 1 :]
+        high = max(rest)
+        base = sum(rest)
+        room = deg[i - 1] - deg[i] if i else len(later)
+        for size in range(min(room, len(later), left) + 1):
+            # deg[i] ends at top: prune on a zero, on a later vertex above
+            # top, and on more edges left than the later vertices can take
+            # when each is capped at top; a later vertex already at top
+            # cannot be chosen
+            top = deg[i] + size
+            if top == 0 or high > top or 2 * (left - size) > top * len(later) - base - size:
+                continue
+            deg[i] = top
+            for chosen in itertools.combinations([j for j in later if deg[j] < top], size):
+                above[i] = chosen
+                for j in chosen:
+                    deg[j] += 1
+                block(i + 1, left - size)
+                for j in chosen:
+                    deg[j] -= 1
+            deg[i] = top - size
+
+    block(0, n - 1 + d)
+    return frozenset(DegreeSequence._from_sorted(k) for k in confirmed)

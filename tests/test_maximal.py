@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import degseq.maximal as mx
+import legacy_reference as legacy
 from brute_partitions import partitions
 from degseq.constructions import (
     clique_fill_sequence,
@@ -76,10 +77,17 @@ class TestGraphsOracleAgainstAtlas:
             for d in range(0, max_added_edges(n) + 1):
                 assert mx._sequences_by_graphs(n, d) == frozenset(expected[n, d]), (n, d)
 
-    def test_matches_partitions_at_eight_on_cheap_levels(self):
-        # every level at n = 8 runs in CI: scripts/maximal_sweep.py --max-n 8
-        for d in (0, 1, 2, 3, *range(14, max_added_edges(8) + 1)):
+    def test_matches_unmemoized_search(self):
+        for n in range(2, 8):
+            for d in range(0, max_added_edges(n) + 1):
+                assert mx._sequences_by_graphs(n, d) == legacy.sequences_by_graphs(n, d), (n, d)
+
+    def test_matches_partitions_at_every_level_of_eight(self):
+        for d in range(0, max_added_edges(8) + 1):
             assert mx._sequences_by_graphs(8, d) == mx._sequences_by_partitions(8, d), d
+
+    def test_matches_partitions_at_nine_three(self):
+        assert mx._sequences_by_graphs(9, 3) == mx._sequences_by_partitions(9, 3)
 
     def test_never_consults_erdos_gallai(self, monkeypatch):
         def forbidden(seq):
