@@ -75,10 +75,10 @@ def _sequences_by_graphs(n: int, d: int) -> frozenset[DegreeSequence]:
 
     def block(left: int, prev: int, deg: tuple[int, ...], comp: tuple[int, ...]):
         # the pairs (k, i) with k < i are decided, i = n - len(deg): vertex
-        # i-1 ended at degree prev, vertices i..n-1 have degrees deg and
-        # components comp, numbered in first-seen order, and every earlier
-        # vertex is joined to one of them. Pick i's later neighbours; the
-        # result is every final degree tuple of vertices i..n-1
+        # i-1 ended at degree prev (n-1 for i = 0), vertices i..n-1 have
+        # degrees deg and components comp, numbered in first-seen order, and
+        # every earlier vertex is joined to one of them. Pick i's later
+        # neighbours; the result is every final degree tuple of i..n-1
         key = (left, prev, deg, comp)
         found = memo.get(key)
         if found is not None:
