@@ -11,7 +11,9 @@ answer of that method without a certificate is marked `"conclusive":
 false` (text: `inconclusive: no domination witness`) and exits 0.
 Output is line-oriented and stable; informational notes go to stderr so
 stdout can be compared against golden files. Every `--json` record is the
-text of json.dumps with sorted keys. Each command imports the library
+text of json.dumps with sorted keys; a trace or a graph's edges are spliced
+into it item by item (_emit_spliced), realizations straight from the
+greedy's checked neighbor lists. Each command imports the library
 modules it runs when it starts, so building the parser loads none of them.
 """
 
@@ -46,6 +48,8 @@ TRACE_BUDGET = 100_000_000
 TRACE_KEPT = 4_000_000
 # maximal.ORACLES, repeated so that building the parser does not import maximal
 ORACLES = ("graphs", "partitions", "both")
+# graphs._edge_runs pieces of a JSON edge list: "[u, v]" texts joined by ", "
+JSON_EDGE = ("[", ", ", "]", ", ")
 
 
 def _emit(text: str) -> None:
@@ -73,43 +77,26 @@ def _parse_seq(orders, args, literal: str):
     return seq
 
 
-def _emit_trace_verdict_json(verdict, steps, outcome: str) -> None:
-    """Write json.dumps(verdict.to_dict(), sort_keys=True) and a newline for
-    the verdict with a realizability._reduction chain trace as its
-    certificate: its rendered steps one by one, the rest from to_dict.
-    """
-    record = json.dumps(verdict.to_dict(), sort_keys=True)
-    head, tail = record.split('"certificate": null', 1)
+def _emit_spliced(record: dict, key: str, texts) -> None:
+    """Write json.dumps(record, sort_keys=True) and a newline with the None
+    value of key, at any depth, replaced by the list of the JSON texts
+    texts, written one by one, so a long list is never held as one string."""
+    head, tail = json.dumps(record, sort_keys=True).split(f'"{key}": null', 1)
     write = sys.stdout.write
-    write(f'{head}"certificate": {{"kind": "trace", "outcome": {json.dumps(outcome)}, ')
-    write('"steps": [')
-    for i, (before, rule, after) in enumerate(steps):
-        write(
-            f'{", " if i else ""}{{"after": [{after}], "before": [{before}], '
-            f'"rule": {json.dumps(rule)}}}'
-        )
-    write(f"]}}{tail}\n")
-
-
-def _emit_graph_json(payload: dict, up: list[list[int]]) -> None:
-    """Write json.dumps({**payload, "edges": [[u, v], ...]}, sort_keys=True) and a
-    newline, the edges (u, v) ascending, read off the upper neighbor lists up."""
-    from .graphs import _edge_runs
-    head, tail = json.dumps({**payload, "edges": None}, sort_keys=True).split('"edges": null', 1)
-    runs = _edge_runs(up, "[", ", ", "]", ", ")
-    sys.stdout.write(f'{head}"edges": [{", ".join(runs)}]{tail}\n')
+    write(f'{head}"{key}": [')
+    for i, text in enumerate(texts):
+        write(f", {text}" if i else text)
+    write(f"]{tail}\n")
 
 
 def _cmd_check(args) -> int:
-    from . import orders, realizability
+    from . import graphs, orders, realizability
     seq = _parse_seq(orders, args, args.sequence)
     method = args.method
-    certificate = trace = None
+    certificate = trace = up = None
     c_graphical = realizability.is_c_graphical(seq) if args.connected else None
     if c_graphical:  # implies graphical; the realization is printed, so no trace is built
-        up = realizability._realization(seq, True)
-        edges = tuple((u, v) for u, vs in enumerate(up) for v in vs)
-        graphical, certificate = True, realizability.RealizationCertificate(len(seq), edges)
+        graphical, up = True, realizability._realization(seq, True)
     elif method in ("hh", "constant"):  # the trace is printed from its runs
         budget = max(TRACE_BUDGET, args.max_trace or 0)
         constant = method == "constant"
@@ -130,16 +117,23 @@ def _cmd_check(args) -> int:
             except BadSumError:  # odd total, or no hub fill has this total
                 pass
     verdict = realizability.Verdict(seq, graphical, c_graphical, method, certificate)
-    inconclusive = method == "certificate" and certificate is None
+    inconclusive = method == "certificate" and certificate is None and up is None
 
-    if args.json and trace is not None:
-        steps = realizability._rendered_steps(trace.states, trace.rules, ", ")
-        _emit_trace_verdict_json(verdict, steps, trace.outcome)
-    elif args.json:
-        payload = verdict.to_dict()
+    if args.json:  # a realization or a trace is spliced into the verdict's record
+        record = verdict.to_dict()
         if inconclusive:
-            payload["conclusive"] = False
-        _emit_json(payload)
+            record["conclusive"] = False
+        if up is not None:
+            record["certificate"] = {"kind": "realization", "n": len(up), "edges": None}
+            _emit_spliced(record, "edges", graphs._edge_runs(up, *JSON_EDGE))
+        elif trace is not None:
+            record["certificate"] = {"kind": "trace", "outcome": trace.outcome, "steps": None}
+            rendered = realizability._rendered_steps(trace.states, trace.rules, ", ")
+            # a rule ("hh", "reduce(k=1,n=3)") needs no escape in JSON
+            steps = (f'{{"after": [{a}], "before": [{b}], "rule": "{r}"}}' for b, r, a in rendered)
+            _emit_spliced(record, "steps", steps)
+        else:
+            _emit_json(record)
     else:
         _emit(f"sequence: {orders.format_sequence(seq)}")
         _emit(f"graphical: {'yes' if graphical else 'no'} (method: {method})")
@@ -152,8 +146,8 @@ def _cmd_check(args) -> int:
             _emit(f"  {trace.outcome}")
         elif isinstance(certificate, realizability.NonGraphicalWitness):
             _emit(f"witness: {orders.format_sequence(certificate.witness)} (d={certificate.d})")
-        elif isinstance(certificate, realizability.RealizationCertificate):
-            _emit("realization: " + " ".join(f"{u}-{v}" for u, v in certificate.edges))
+        elif up is not None:
+            _emit("realization: " + " ".join(graphs._edge_runs(up, "", "-", "", " ")))
         elif inconclusive:
             _emit("inconclusive: no domination witness")
     negative = (not graphical) or (args.connected and not c_graphical)
@@ -172,7 +166,8 @@ def _cmd_realize(args) -> int:
             print(f"not realizable: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     if args.json:
-        _emit_graph_json({"sequence": list(seq), "realized": True, "n": len(up)}, up)
+        record = {"sequence": list(seq), "realized": True, "n": len(up), "edges": None}
+        _emit_spliced(record, "edges", graphs._edge_runs(up, *JSON_EDGE))
     elif args.format == "dot":
         _emit(graphs._dot(up))
     else:
@@ -208,7 +203,8 @@ def _cmd_construct(args) -> int:
     if args.json:
         payload = {"n": n, "d": d, "prime": bool(args.prime), "sequence": list(seq)}
         if args.emit in ("graph", "both"):
-            _emit_graph_json(payload, g.upper_neighbors())
+            edges = graphs._edge_runs(g.upper_neighbors(), *JSON_EDGE)
+            _emit_spliced({**payload, "edges": None}, "edges", edges)
         else:
             _emit_json(payload)
         return EXIT_OK

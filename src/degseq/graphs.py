@@ -10,11 +10,11 @@ sorting those short lists.
 Algorithms that edit one graph many times (the realizations and the
 rewiring chains in `realizability`) work on a mutable adjacency, a list
 of ascending neighbor lists, with the package-internal helpers at the end
-of this module, and freeze it into a SimpleGraph once. The realizations
-keep only each vertex's larger neighbors, all that union-find and their
-swaps read; the edge-list and DOT renderers read such lists too, of a
-SimpleGraph or of a realization, so the CLI prints a realization without
-building a graph.
+of this module. The realizations keep only each vertex's larger neighbors,
+all that union-find and their swaps read; the renderers read such lists
+too, so the CLI prints a realization without building a graph. The
+constructor validates outside input; a graph the library builds is checked
+once, as such lists, in `realizability`, and `_freeze` wraps them unchecked.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from .record import Record
 
 Edge = tuple[int, int]
 VertexPath = tuple[int, ...]
-
-
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 class SimpleGraph(Record):
@@ -59,7 +55,7 @@ class SimpleGraph(Record):
         for u, v in pairs:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            e = _norm(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in normed:
                 raise EdgeExistsError(f"duplicate edge {e}")
             normed.add(e)
@@ -121,10 +117,13 @@ def _thaw(g: SimpleGraph) -> Adjacency:
     return [list(nbrs) for nbrs in g._adjacency]
 
 
-def _freeze(adj: Adjacency) -> SimpleGraph:
-    """The SimpleGraph of adj, full neighbor lists or only the larger neighbors."""
-    edges = frozenset([(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v])
-    return SimpleGraph(len(adj), edges)
+def _freeze(up: Adjacency) -> SimpleGraph:
+    """The SimpleGraph of larger-neighbor lists that passed _check_realization,
+    built without __post_init__: the counterpart of DegreeSequence._from_sorted."""
+    g = object.__new__(SimpleGraph)
+    object.__setattr__(g, "n", len(up))
+    object.__setattr__(g, "edges", frozenset([(u, v) for u, vs in enumerate(up) for v in vs]))
+    return g
 
 
 def _link(adj: Adjacency, u: int, v: int) -> None:

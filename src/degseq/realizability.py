@@ -16,8 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, namedtuple
 from heapq import heappop, heappush
-from itertools import accumulate, chain, pairwise, repeat
-from operator import add, lt, mul, neg
+from itertools import accumulate, chain, pairwise
+from operator import lt, mul, neg
 
 from .errors import (
     BadCountError,
@@ -120,10 +120,6 @@ class RealizationCertificate(Record):
     __slots__ = __match_args__ = ("n", "edges")
     n: int
     edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_graph(cls, g: SimpleGraph) -> "RealizationCertificate":
-        return cls(n=g.n, edges=tuple(g.sorted_edges()))
 
     def to_dict(self) -> dict:
         return {"kind": "realization", "n": self.n, "edges": [list(e) for e in self.edges]}
@@ -551,18 +547,21 @@ def _greedy(x: DegreeSequence) -> Adjacency:
     return up
 
 
-def _check_realization(x: DegreeSequence, up: Adjacency) -> None:
+def _check_realization(x: list[int], up: Adjacency) -> None:
     """Raise InternalInconsistencyError unless the lists up describe a simple
     graph in which vertex v has degree x[v]: up[u] strictly ascending, above
-    u and below n, so each edge is listed once, at its smaller end. O(n + m)."""
-    n = len(x)
+    u and below n, so each edge is listed once, at its smaller end. O(n + m).
+    Every graph the library returns is frozen from lists this check passed."""
+    n = len(up)
     for u, vs in enumerate(up):
-        if vs and not all(map(lt, [u, *vs], [*vs, n])):  # u < vs[0] < ... < vs[-1] < n
+        if vs and not (u < vs[0] and vs[-1] < n and all(map(lt, vs, vs[1:]))):
             raise InternalInconsistencyError(
                 f"the neighbors above vertex {u} are not strictly ascending in {u + 1}..{n - 1}"
             )
-    below = Counter(chain.from_iterable(up))  # per vertex, its neighbors below it
-    if list(map(add, map(len, up), map(below.get, range(n), repeat(0)))) != list(x):
+    degrees = list(map(len, up))  # the neighbors above each vertex, then those below
+    for v in chain.from_iterable(up):
+        degrees[v] += 1
+    if degrees != list(x):
         raise InternalInconsistencyError("the realization has the wrong degrees")
 
 
@@ -682,6 +681,16 @@ def _inverse_transfer_step(adj: Adjacency, order, keys, i: int, j: int, connecte
     return connected
 
 
+def _rewired(adj: Adjacency, connected: bool) -> SimpleGraph:
+    """The graph frozen from the larger-neighbor halves of the full lists adj,
+    checked against adj's lengths, so a one-sided edit fails, and connected."""
+    up = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(adj)]
+    _check_realization(list(map(len, adj)), up)
+    if connected and not _connected(up):
+        raise InternalInconsistencyError("rewired graph lost connectivity")
+    return _freeze(up)
+
+
 def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
     """Rewire g so its degree sequence loses one unit at rank i, gains at rank j.
 
@@ -694,8 +703,7 @@ def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
     certified along that path. One step of realize_via_domination on a copy of g.
     """
     adj = _thaw(g)
-    _inverse_transfer_step(adj, *_ranks(adj), i, j, _connected(adj))
-    return _freeze(adj)
+    return _rewired(adj, _inverse_transfer_step(adj, *_ranks(adj), i, j, _connected(adj)))
 
 
 def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGraph:
@@ -707,18 +715,15 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
     by moving the two changed vertices. A connected step runs one shortest-
     path BFS and an O(|path|) certificate, a disconnected one a union-find
     connectivity pass. The result has degree sequence x and is connected whenever g_prime
-    is; both are checked once at the end.
+    is; both are checked once at the end, on the lists it is frozen from.
     """
     x = DegreeSequence(x)
-    y = degree_sequence(g_prime)
-    chain = decompose_into_basic_transfers(x, y)
+    chain = decompose_into_basic_transfers(x, degree_sequence(g_prime))
     adj = _thaw(g_prime)
     order, keys = _ranks(adj)
     connected = _connected(adj)
     for t in reversed(chain.steps):
         connected = _inverse_transfer_step(adj, order, keys, t.to_rank, t.from_rank, connected)
-    if DegreeSequence(len(nbrs) for nbrs in adj) != x:
+    if DegreeSequence(map(len, adj)) != x:
         raise InternalInconsistencyError("domination pipeline produced wrong degrees")
-    if connected and not _connected(adj):
-        raise InternalInconsistencyError("rewired graph lost connectivity")
-    return _freeze(adj)
+    return _rewired(adj, connected)

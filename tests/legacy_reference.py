@@ -56,7 +56,6 @@ from degseq.graphs import (
     VertexPath,
     _components,
     _connected,
-    _norm,
     _path,
     degree_sequence,
     is_connected,
@@ -83,6 +82,10 @@ class EdgeMissingError(DegseqError):
 
 class SwapBlockedError(DegseqError):
     """A two-swap would collide with existing edges or shared vertices."""
+
+
+def _norm(u: int, v: int) -> tuple[int, int]:  # the library's former graphs._norm
+    return (u, v) if u < v else (v, u)
 
 
 def component_labels(g: SimpleGraph) -> list[int]:
@@ -475,9 +478,8 @@ def _cmd_check(args) -> int:
     if args.connected:
         c_graphical = graphical and realizability.is_c_graphical(seq)
         if c_graphical:
-            certificate = realizability.RealizationCertificate.from_graph(
-                realizability.realize_connected(seq)
-            )
+            g = realizability.realize_connected(seq)
+            certificate = realizability.RealizationCertificate(g.n, tuple(g.sorted_edges()))
     verdict = realizability.Verdict(seq, graphical, c_graphical, method, certificate)
     inconclusive = method == "certificate" and certificate is None
 

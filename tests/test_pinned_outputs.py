@@ -22,6 +22,7 @@ import contextlib
 import io
 import itertools
 import json
+import pickle
 import random
 import sys
 
@@ -59,6 +60,23 @@ def outcome(fn, *args):
         return "error", type(exc), str(exc)
 
 
+def rebuilt(g):
+    """g, after asserting that it compares, hashes and pickles equal to the
+    graph the checking constructor builds from its fields: a graph the
+    library freezes unchecked must be one that constructor accepts."""
+    h = SimpleGraph(g.n, g.edges)
+    assert g == h and hash(g) == hash(h) and pickle.loads(pickle.dumps(g)) == h
+    return g
+
+
+def rebuilt_outcome(fn, *args):
+    """outcome(fn, *args), its graph passed through rebuilt when there is one."""
+    result = outcome(fn, *args)
+    if result[0] == "ok":
+        rebuilt(result[1])
+    return result
+
+
 def nonincreasing(n, max_value):
     for combo in itertools.combinations_with_replacement(range(max_value, -1, -1), n):
         yield D(combo)
@@ -73,7 +91,7 @@ def test_realize_every_graphical_sequence_up_to_7():
     for n in range(1, 8):
         for x in nonincreasing(n, n - 1):
             if erdos_gallai(x):
-                assert realize(x) == legacy.realize(x), x
+                assert rebuilt(realize(x)) == legacy.realize(x), x
                 count += 1
     assert count == 493
 
@@ -83,7 +101,7 @@ def test_realize_connected_every_c_graphical_sequence_up_to_7():
     for n in range(1, 8):
         for x in nonincreasing(n, n - 1):
             if is_c_graphical(x):
-                assert realize_connected(x) == legacy.realize_connected(x), x
+                assert rebuilt(realize_connected(x)) == legacy.realize_connected(x), x
                 count += 1
     assert count == 333
 
@@ -116,7 +134,7 @@ def test_realize_via_domination_from_the_star_up_to_7():
     for n in range(2, 8):
         g = star(n)
         for x in map(D, partitions(2 * (n - 1), n, max_part=n - 1, min_part=1)):
-            assert realize_via_domination(x, g) == legacy.realize_via_domination(x, g), x
+            assert rebuilt(realize_via_domination(x, g)) == legacy.realize_via_domination(x, g), x
             count += 1
     assert count == 19
 
@@ -128,9 +146,9 @@ def test_realize_via_domination_from_both_fills_up_to_7():
                 y = degree_sequence(g)
                 for x in nonincreasing(n, n - 1):
                     if x[-1] >= 1 and sum(x) == sum(y) and majorized(x, y):
-                        assert realize_via_domination(x, g) == legacy.realize_via_domination(
-                            x, g
-                        ), (n, d, x)
+                        assert rebuilt(
+                            realize_via_domination(x, g)
+                        ) == legacy.realize_via_domination(x, g), (n, d, x)
 
 
 def test_realize_via_domination_from_graphs_with_an_isolated_vertex_up_to_6():
@@ -145,7 +163,7 @@ def test_realize_via_domination_from_graphs_with_an_isolated_vertex_up_to_6():
             y = degree_sequence(g)
             for x in nonincreasing(n, n - 1):
                 if sum(x) == sum(y) and majorized(x, y):
-                    assert outcome(realize_via_domination, x, g) == outcome(
+                    assert rebuilt_outcome(realize_via_domination, x, g) == outcome(
                         legacy.realize_via_domination, x, g
                     ), (g, x)
                     count += 1
@@ -161,7 +179,7 @@ def test_apply_inverse_transfer_every_graph_and_rank_pair_up_to_5():
             g = SimpleGraph(n, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
             for i in range(0, n + 1):
                 for j in range(i, n + 2):
-                    assert outcome(apply_inverse_transfer, g, i, j) == outcome(
+                    assert rebuilt_outcome(apply_inverse_transfer, g, i, j) == outcome(
                         legacy.apply_inverse_transfer, g, i, j
                     ), (g, i, j)
 

@@ -1,4 +1,7 @@
 import itertools
+import pickle
+from bisect import insort
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -737,6 +740,66 @@ class TestRewiringCertificate:
         assert len(chain.steps) == 9
         realize_via_domination(PATH_SEQUENCE, star(12))
         assert calls == {"_connected": 2, "_ranks": 1}  # before the chain and after it
+
+
+# each builder with inputs made here, so that building them runs no spied code
+GRAPH_BUILDERS = {
+    "realize": (realize, D((3, 3, 2, 2, 1, 1))),
+    "realize_connected": (realize_connected, D([2] * 6)),  # the greedy gives two triangles
+    "realize_via_domination": (realize_via_domination, PATH_SEQUENCE, star(12)),
+    "apply_inverse_transfer": (apply_inverse_transfer, broom(), 1, 5),
+}
+
+
+class TestOneCheckPerGraph:
+    """Every graph the library returns passes _check_realization once, on
+    the lists it is frozen from, and SimpleGraph's constructor check never
+    runs on it; the graph is still one that constructor accepts."""
+
+    @pytest.mark.parametrize("name", GRAPH_BUILDERS)
+    def test_checked_once_and_frozen_unchecked(self, monkeypatch, name):
+        fn, *args = GRAPH_BUILDERS[name]
+        calls, checked = Counter(), []
+        check = realizability._check_realization
+
+        def counted_check(x, up):
+            calls["_check_realization"] += 1
+            checked.append({(u, v) for u, vs in enumerate(up) for v in vs})
+            check(x, up)
+
+        def counted_post_init(graph):
+            calls["__post_init__"] += 1
+
+        monkeypatch.setattr(realizability, "_check_realization", counted_check)
+        monkeypatch.setattr(SimpleGraph, "__post_init__", counted_post_init)
+        g = fn(*args)
+        assert calls == {"_check_realization": 1}
+        assert checked == [g.edges]
+        monkeypatch.undo()
+        h = SimpleGraph(g.n, g.edges)
+        assert g == h and hash(g) == hash(h) and pickle.loads(pickle.dumps(g)) == h
+
+    @pytest.fixture
+    def one_sided_link(self, monkeypatch):
+        """A rewiring edit that adds v to u's list but not u to v's."""
+        monkeypatch.setattr(realizability, "_link", lambda adj, u, v: insort(adj[u], v))
+
+    def test_one_sided_link_fails_apply_inverse_transfer(self, one_sided_link):
+        # the edit moves {0, 1} to {3, 1}: vertex 3 lists 1, but 1 does not list 3
+        with pytest.raises(InternalInconsistencyError, match="wrong degrees"):
+            apply_inverse_transfer(SimpleGraph.from_edges(5, [(0, 1), (0, 2)]), 1, 4)
+
+    @pytest.mark.parametrize(
+        "x, g_prime",
+        [
+            (D((1, 1, 1, 1, 0)), SimpleGraph.from_edges(5, [(0, 1), (0, 2)])),
+            (PATH_SEQUENCE, star(12)),
+        ],
+        ids=["disconnected", "connected"],
+    )
+    def test_one_sided_link_fails_realize_via_domination(self, one_sided_link, x, g_prime):
+        with pytest.raises(InternalInconsistencyError):
+            realize_via_domination(x, g_prime)
 
 
 class TestVerdictType:
