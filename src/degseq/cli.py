@@ -12,8 +12,8 @@ false` (text: `inconclusive: no domination witness`) and exits 0.
 Output is line-oriented and stable; informational notes go to stderr so
 stdout can be compared against golden files. Every `--json` record is the
 text of json.dumps with sorted keys; a trace or a graph's edges are spliced
-into it item by item (_emit_spliced), realizations straight from the
-greedy's checked neighbor lists. Each command imports the library
+into it item by item (_emit_spliced). Graphs print from checked neighbor
+lists; no command builds a SimpleGraph. Each command imports the library
 modules it runs when it starts, so building the parser loads none of them.
 """
 
@@ -190,28 +190,23 @@ def _cmd_compare(args) -> int:
 def _cmd_construct(args) -> int:
     from . import constructions, graphs, orders
     n, d = args.n, args.d
-    if d < 0:
-        if args.prime:
-            raise DegseqError("the clique-fill family is not defined for d < 0")
-        seq, g = constructions.incomplete_star(n, d)
-    elif args.prime:
-        seq = constructions.clique_fill_sequence(n, d)
-        g = constructions.build_clique_fill(n, d)
-    else:
-        seq = constructions.hub_fill_sequence(n, d)
-        g = constructions.build_hub_fill(n, d)
+    if d < 0 and args.prime:
+        raise DegseqError("the clique-fill family is not defined for d < 0")
+    family = constructions._clique_fill if args.prime else constructions._hub_fill
+    seq, counts = (constructions._incomplete_star if d < 0 else family)(n, d)
+    # the graph's checked neighbor lists are built only when it is printed
+    up = None if args.emit == "seq" else constructions._lists(seq, counts)
     if args.json:
         payload = {"n": n, "d": d, "prime": bool(args.prime), "sequence": list(seq)}
-        if args.emit in ("graph", "both"):
-            edges = graphs._edge_runs(g.upper_neighbors(), *JSON_EDGE)
-            _emit_spliced({**payload, "edges": None}, "edges", edges)
+        if up is not None:
+            _emit_spliced({**payload, "edges": None}, "edges", graphs._edge_runs(up, *JSON_EDGE))
         else:
             _emit_json(payload)
         return EXIT_OK
     if args.emit in ("seq", "both"):
         _emit(orders.format_sequence(seq))
-    if args.emit in ("graph", "both"):
-        _emit(graphs.to_edge_list_text(g))
+    if up is not None:
+        _emit(graphs._edge_list_text(up))
     return EXIT_OK
 
 

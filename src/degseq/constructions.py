@@ -13,14 +13,16 @@ center 0 and leaves 1..n-1 and both adding exactly d edges among leaves:
 
 For negative d (degree total below 2(n-1)) the companion object is an
 incomplete star: a star on n+d vertices padded with isolated vertices.
+
+Each graph is built as larger-neighbor lists, vertex u's being range(u+1,
+u+1+k_u), and checked against its closed-form sequence, which lists the
+degrees in vertex order, so formula and graph are compared on every call.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
-
 from .errors import OutOfRangeError
-from .graphs import SimpleGraph
+from .graphs import Adjacency, SimpleGraph, _check_realization, _freeze
 from .orders import DegreeSequence
 
 
@@ -51,15 +53,29 @@ def hub_fill_sequence(n: int, d: int) -> DegreeSequence:
     while i < n - 1 and n - i - 1 <= j:
         j -= n - i - 1
         i += 1
-    vals = [n - 1] * i + [i + j] + [i + 1] * j + [i] * (n - i - j - 1)
-    return DegreeSequence(vals)
+    return DegreeSequence([n - 1] * i + [i + j] + [i + 1] * j + [i] * (n - i - j - 1))
+
+
+def _lists(seq: DegreeSequence, counts: list[int]) -> Adjacency:
+    """Vertex u's list range(u+1, u+1+counts[u]), checked against seq."""
+    up = [list(range(u + 1, u + 1 + k)) for u, k in enumerate(counts)]
+    _check_realization(seq, up)
+    return up
+
+
+def _hub_fill(n: int, d: int) -> tuple[DegreeSequence, list[int]]:
+    """hub_fill_sequence(n, d) and the larger-neighbor count per vertex:
+    n-1 for the center, then each leaf takes the later leaves d has left."""
+    seq, counts = hub_fill_sequence(n, d), [n - 1]
+    for u in range(1, n):
+        counts.append(min(n - 1 - u, d))
+        d -= counts[-1]
+    return seq, counts
 
 
 def build_hub_fill(n: int, d: int) -> SimpleGraph:
     """Star plus d edges: vertex 1 links to leaves 2.., then vertex 2, ..."""
-    _check_range(n, d)
-    star = [(0, v) for v in range(1, n)]
-    return SimpleGraph.from_edges(n, star + list(islice(combinations(range(1, n), 2), d)))
+    return _freeze(_lists(*_hub_fill(n, d)))
 
 
 def _clique_split(n: int, d: int) -> tuple[int, int]:
@@ -67,33 +83,41 @@ def _clique_split(n: int, d: int) -> tuple[int, int]:
     m = 1
     while (m + 1) * m // 2 <= d:
         m += 1
-    r = d - m * (m - 1) // 2
-    return m, r
+    return m, d - m * (m - 1) // 2
 
 
 def clique_fill_sequence(n: int, d: int) -> DegreeSequence:
     """Degree sequence of the star with a growing leaf clique.
 
     Leaves 1..m form a complete subgraph and leaf m+1 has r partial edges
-    into it, where d = m(m-1)/2 + r with 0 <= r <= m. Coincides with the
+    into it, where d = m(m-1)/2 + r with 0 <= r < m. Coincides with the
     hub-fill sequence for d <= 2.
     """
     _check_range(n, d)
     m, r = _clique_split(n, d)
-    vals = [n - 1]
-    vals += [m + 1] * r + [m] * (m - r)
-    if r > 0:
-        vals.append(1 + r)
-    vals += [1] * (n - 1 - m - (1 if r > 0 else 0))
-    return DegreeSequence(vals)
+    vals = [n - 1] + [m + 1] * r + [m] * (m - r) + [1 + r] * (r > 0)
+    return DegreeSequence(vals + [1] * (n - len(vals)))
+
+
+def _clique_fill(n: int, d: int) -> tuple[DegreeSequence, list[int]]:
+    """clique_fill_sequence(n, d) and the larger-neighbor count per vertex:
+    leaf u <= m links to leaves u+1..m, and also to m+1 when u <= r."""
+    seq, (m, r) = clique_fill_sequence(n, d), _clique_split(n, d)
+    return seq, [n - 1] + [m - u + (u <= r) for u in range(1, m + 1)] + [0] * (n - 1 - m)
 
 
 def build_clique_fill(n: int, d: int) -> SimpleGraph:
-    _check_range(n, d)
-    m, r = _clique_split(n, d)
-    star = [(0, v) for v in range(1, n)]
-    clique = list(combinations(range(1, m + 1), 2))
-    return SimpleGraph.from_edges(n, star + clique + [(m + 1, w) for w in range(1, r + 1)])
+    return _freeze(_lists(*_clique_fill(n, d)))
+
+
+def _incomplete_star(n: int, d: int) -> tuple[DegreeSequence, list[int]]:
+    """The sequence of incomplete_star(n, d) and the larger-neighbor counts."""
+    if n < 2:
+        raise OutOfRangeError(f"need at least 2 vertices, got n={n}")
+    if not -(n - 1) <= d <= -1:
+        raise OutOfRangeError(f"d={d} outside {-(n - 1)}..-1 for n={n}")
+    a = n - 1 + d
+    return DegreeSequence([a] + [1] * a + [0] * (n - a - 1)), [a] + [0] * (n - 1)
 
 
 def incomplete_star(n: int, d: int) -> tuple[DegreeSequence, SimpleGraph]:
@@ -103,11 +127,5 @@ def incomplete_star(n: int, d: int) -> tuple[DegreeSequence, SimpleGraph]:
     star on a+1 vertices plus n-a-1 isolated vertices. a = 0 degenerates to
     the edgeless graph.
     """
-    if n < 2:
-        raise OutOfRangeError(f"need at least 2 vertices, got n={n}")
-    if not -(n - 1) <= d <= -1:
-        raise OutOfRangeError(f"d={d} outside {-(n - 1)}..-1 for n={n}")
-    a = n - 1 + d
-    seq = DegreeSequence([a] + [1] * a + [0] * (n - a - 1))
-    g = SimpleGraph.from_edges(n, [(0, v) for v in range(1, a + 1)])
-    return seq, g
+    seq, counts = _incomplete_star(n, d)
+    return seq, _freeze(_lists(seq, counts))

@@ -11,10 +11,10 @@ Algorithms that edit one graph many times (the realizations and the
 rewiring chains in `realizability`) work on a mutable adjacency, a list
 of ascending neighbor lists, with the package-internal helpers at the end
 of this module. The realizations keep only each vertex's larger neighbors,
-all that union-find and their swaps read; the renderers read such lists
-too, so the CLI prints a realization without building a graph. The
-constructor validates outside input; a graph the library builds is checked
-once, as such lists, in `realizability`, and `_freeze` wraps them unchecked.
+all that union-find and their swaps read. The constructor validates outside
+input; every graph the library builds (realizations, rewirings, constructions)
+is checked once, as such lists, by `_check_realization`, and `_freeze` wraps
+them unchecked. The renderers read them too, so the CLI builds no graph.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from bisect import insort
 from collections import deque
 from collections.abc import Iterable
 from functools import cached_property
+from itertools import chain
+from operator import lt
 
-from .errors import EdgeExistsError, NoPathError, SelfLoopError
+from .errors import EdgeExistsError, InternalInconsistencyError, NoPathError, SelfLoopError
 from .orders import DegreeSequence
 from .record import Record
 
@@ -115,6 +117,24 @@ def _adjacency_lists(n: int, edges: Iterable[Edge]) -> Adjacency:
 
 def _thaw(g: SimpleGraph) -> Adjacency:
     return [list(nbrs) for nbrs in g._adjacency]
+
+
+def _check_realization(x: list[int], up: Adjacency) -> None:
+    """Raise InternalInconsistencyError unless the lists up describe a simple
+    graph in which vertex v has degree x[v]: up[u] strictly ascending, above
+    u and below n, so each edge is listed once, at its smaller end. O(n + m).
+    Every graph the library returns is frozen from lists this check passed."""
+    n = len(up)
+    for u, vs in enumerate(up):
+        if vs and not (u < vs[0] and vs[-1] < n and all(map(lt, vs, vs[1:]))):
+            raise InternalInconsistencyError(
+                f"the neighbors above vertex {u} are not strictly ascending in {u + 1}..{n - 1}"
+            )
+    degrees = list(map(len, up))  # the neighbors above each vertex, then those below
+    for v in chain.from_iterable(up):
+        degrees[v] += 1
+    if degrees != list(x):
+        raise InternalInconsistencyError("the realization has the wrong degrees")
 
 
 def _freeze(up: Adjacency) -> SimpleGraph:

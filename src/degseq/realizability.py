@@ -8,7 +8,8 @@ removed links, in the Wang–Kleitman style), a faster reduce-to-constant
 strategy, a majorization-based non-graphicality witness, and the
 constructive pipeline that turns a dominating connected realization into a
 realization of any dominated sequence by rewiring one unit transfer at a
-time.
+time. Each graph is built as larger-neighbor lists, frozen once
+graphs._check_realization passes them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, namedtuple
 from heapq import heappop, heappush
-from itertools import accumulate, chain, pairwise
-from operator import lt, mul, neg
+from itertools import accumulate, pairwise
+from operator import mul, neg
 
 from .errors import (
     BadCountError,
@@ -33,6 +34,7 @@ from .errors import (
 from .graphs import (
     Adjacency,
     SimpleGraph,
+    _check_realization,
     _components,
     _connected,
     _freeze,
@@ -545,24 +547,6 @@ def _greedy(x: DegreeSequence) -> Adjacency:
     for vs in up:
         vs.sort()
     return up
-
-
-def _check_realization(x: list[int], up: Adjacency) -> None:
-    """Raise InternalInconsistencyError unless the lists up describe a simple
-    graph in which vertex v has degree x[v]: up[u] strictly ascending, above
-    u and below n, so each edge is listed once, at its smaller end. O(n + m).
-    Every graph the library returns is frozen from lists this check passed."""
-    n = len(up)
-    for u, vs in enumerate(up):
-        if vs and not (u < vs[0] and vs[-1] < n and all(map(lt, vs, vs[1:]))):
-            raise InternalInconsistencyError(
-                f"the neighbors above vertex {u} are not strictly ascending in {u + 1}..{n - 1}"
-            )
-    degrees = list(map(len, up))  # the neighbors above each vertex, then those below
-    for v in chain.from_iterable(up):
-        degrees[v] += 1
-    if degrees != list(x):
-        raise InternalInconsistencyError("the realization has the wrong degrees")
 
 
 def _realization(x: DegreeSequence, connected: bool) -> Adjacency:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 
 from conftest import degree_sequences, random_graphs
 from test_pinned_outputs import random_graph_degrees
+from degseq import constructions, graphs
 from degseq.cli import TRACE_BUDGET, main
 from degseq.constructions import (
     build_clique_fill,
@@ -297,6 +299,33 @@ class TestConstruct:
     def test_prime_negative_rejected(self, capsys):
         code, _, err = run(capsys, "construct", "5", "-2", "--prime")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["300", "20000"], ["70", "1300", "--prime"], ["9", "-3"]], ids=" ".join
+    )
+    @pytest.mark.parametrize("emit", ["seq", "graph", "both"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_graph_checked_only_when_printed(self, monkeypatch, capsys, argv, emit, json_flag):
+        """`--emit seq` builds and checks no graph; `graph` and `both` check
+        the printed lists once and freeze no SimpleGraph."""
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for module in (graphs, constructions):
+            for name in ("_check_realization", "_freeze"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(
+            SimpleGraph, "__post_init__", counted("__post_init__", SimpleGraph.__post_init__)
+        )
+        code, out, _ = run(capsys, "construct", *argv, "--emit", emit, *json_flag)
+        assert code == 0 and out
+        assert calls == ({} if emit == "seq" else {"_check_realization": 1})
 
 
 class TestMaximal:

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import pytest
 
+from degseq import constructions
+from degseq.cli import main
 from degseq.constructions import (
     build_clique_fill,
     build_hub_fill,
@@ -8,7 +12,7 @@ from degseq.constructions import (
     incomplete_star,
     max_added_edges,
 )
-from degseq.errors import OutOfRangeError
+from degseq.errors import InternalInconsistencyError, OutOfRangeError
 from degseq.graphs import degree_sequence, is_connected
 from degseq.orders import DegreeSequence, majorized
 from degseq.realizability import erdos_gallai
@@ -122,6 +126,42 @@ class TestConstructionEdges:
         for n in range(2, 10):
             complete = {(u, v) for u in range(n) for v in range(u + 1, n)}
             assert build(n, max_added_edges(n)).edges == complete, n
+
+    @pytest.mark.parametrize(
+        "build, key",
+        [(build_hub_fill, None), (build_clique_fill, lambda e: (e[1], e[0]))],
+        ids=["hub", "clique"],
+    )
+    def test_first_d_leaf_pairs(self, build, key):
+        """The star plus the first d leaf pairs in the family's order:
+        lexicographic for the hub fill, larger end first for the clique fill."""
+        for n in range(2, 11):
+            pairs = sorted(combinations(range(1, n), 2), key=key)
+            for d in range(0, max_added_edges(n) + 1):
+                assert build(n, d).edges == _star(n) | set(pairs[:d]), (n, d)
+
+
+class TestClosedFormIsChecked:
+    """The built lists are checked against the closed-form sequence on every
+    call, so a formula that disagrees with the graph raises, in the library
+    and in `construct` (exit 3), even when its total is right."""
+
+    @pytest.mark.parametrize(
+        "name, build, wrong",
+        [
+            ("hub_fill_sequence", build_hub_fill, (6, 4, 3, 2, 2, 2, 1)),  # really 6,5,2,2,2,2,1
+            ("clique_fill_sequence", build_clique_fill, (6, 4, 3, 3, 2, 2, 0)),  # 6,4,3,3,2,1,1
+        ],
+        ids=["hub", "clique"],
+    )
+    def test_wrong_closed_form_raises(self, monkeypatch, capsys, name, build, wrong):
+        assert sum(getattr(constructions, name)(7, 4)) == sum(wrong)
+        monkeypatch.setattr(constructions, name, lambda n, d: D(wrong))
+        with pytest.raises(InternalInconsistencyError, match="wrong degrees"):
+            build(7, 4)
+        prime = ["--prime"] if build is build_clique_fill else []
+        assert main(["construct", "7", "4", "--emit", "graph", *prime]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestCliqueFillSequence:

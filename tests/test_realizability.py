@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import sys
 from bisect import insort
 from collections import Counter
 
@@ -23,6 +24,7 @@ from degseq.errors import (
 )
 from degseq import realizability
 from degseq.cli import main
+from degseq.constructions import build_clique_fill, build_hub_fill, incomplete_star
 from degseq.graphs import SimpleGraph, degree_sequence, is_connected
 from degseq.orders import DegreeSequence, decompose_into_basic_transfers, min_tail_sum
 from degseq.realizability import (
@@ -748,13 +750,17 @@ GRAPH_BUILDERS = {
     "realize_connected": (realize_connected, D([2] * 6)),  # the greedy gives two triangles
     "realize_via_domination": (realize_via_domination, PATH_SEQUENCE, star(12)),
     "apply_inverse_transfer": (apply_inverse_transfer, broom(), 1, 5),
+    "build_hub_fill": (build_hub_fill, 7, 8),  # a partial round: vertex 2 links to 3, 4 and 5
+    "build_clique_fill": (build_clique_fill, 7, 8),  # the clique on 1..4 plus two edges from 5
+    "incomplete_star": (incomplete_star, 7, -2),  # returns (sequence, graph)
 }
 
 
 class TestOneCheckPerGraph:
     """Every graph the library returns passes _check_realization once, on
     the lists it is frozen from, and SimpleGraph's constructor check never
-    runs on it; the graph is still one that constructor accepts."""
+    runs on it; the graph is still one that constructor accepts. The check
+    is spied on under the name the builder's own module imports."""
 
     @pytest.mark.parametrize("name", GRAPH_BUILDERS)
     def test_checked_once_and_frozen_unchecked(self, monkeypatch, name):
@@ -770,9 +776,11 @@ class TestOneCheckPerGraph:
         def counted_post_init(graph):
             calls["__post_init__"] += 1
 
-        monkeypatch.setattr(realizability, "_check_realization", counted_check)
+        monkeypatch.setattr(sys.modules[fn.__module__], "_check_realization", counted_check)
         monkeypatch.setattr(SimpleGraph, "__post_init__", counted_post_init)
         g = fn(*args)
+        if name == "incomplete_star":
+            g = g[1]
         assert calls == {"_check_realization": 1}
         assert checked == [g.edges]
         monkeypatch.undo()
