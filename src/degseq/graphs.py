@@ -1,20 +1,19 @@
 """Immutable labeled simple undirected graphs.
 
 Vertices are dense integers 0..n-1, and a SimpleGraph never mutates.
-Connectivity and the first edge on a cycle come from one union-find pass,
-and shortest paths from a BFS that visits neighbors in ascending index
-order, so outputs are reproducible. Edges come out in ascending (u, v)
-order from each vertex's ascending list of larger neighbors, in O(m) plus
-sorting those short lists.
+Connectivity comes from one union-find pass, and shortest paths from a
+BFS that visits neighbors in ascending index order, so outputs are
+reproducible. Edges come out in ascending (u, v) order from each vertex's
+ascending list of larger neighbors, in O(m) plus sorting those short lists.
 
-Algorithms that edit one graph many times (the realizations and the
-rewiring chains in `realizability`) work on a mutable adjacency, a list
-of ascending neighbor lists, with the package-internal helpers at the end
-of this module. The realizations keep only each vertex's larger neighbors,
-all that union-find and their swaps read. The constructor validates outside
-input; every graph the library builds (realizations, rewirings, constructions)
-is checked once, as such lists, by `_check_realization`, and `_freeze` wraps
-them unchecked. The renderers read them too, so the CLI builds no graph.
+The rewiring chains in `realizability` edit one graph many times, on a
+mutable adjacency, a list of ascending neighbor lists, with the
+package-internal helpers at the end of this module. The realizations are
+built as each vertex's larger neighbors only, all that union-find reads.
+The constructor validates outside input; every graph the library builds
+(realizations, rewirings, constructions) is checked once, as such lists,
+by `_check_realization`, and `_freeze` wraps them unchecked. The renderers
+read them too, so the CLI builds no graph.
 """
 
 from __future__ import annotations
@@ -156,27 +155,18 @@ def _unlink(adj: Adjacency, u: int, v: int) -> None:
     adj[v].remove(u)
 
 
-def _components(adj) -> tuple[list[int], Edge | None]:
-    """Root per vertex (the smallest vertex of its component) and the
-    lexicographically first edge that lies on a cycle, or None on a forest.
+def _components(adj) -> list[int]:
+    """Root per vertex: the smallest vertex of its component.
 
     One union-find pass with path halving (Tarjan, J. ACM 22(2), 1975)
-    joins the edges (u, v), u < v, in descending lexicographic order. It
-    reads only the neighbors v > u of each u, so adj may also hold just
-    those. An edge whose ends are already joined closes a cycle whose
-    other edges come before it in the pass, so all are larger: it is the
-    smallest edge of that cycle. Conversely, the smallest edge of any
-    cycle C is closed, since the rest of C comes first and joins its ends.
-    So the first edge on any cycle, which is the smallest edge of its
-    cycle, is the smallest closing edge: the last one the pass meets.
-
-    When the pass reaches u, the edges met so far join only vertices above
-    u, so u's set has root u until u is done, and each join hangs the
-    other root, which is larger, below u.
+    joins the edges (u, v), u < v, for u from n-1 down to 0. It reads only
+    the neighbors v > u of each u, so adj may also hold just those. When
+    the pass reaches u, the edges met so far join only vertices above u,
+    so u's set has root u until u is done, and each join hangs the other
+    root, which is larger, below u.
     """
     n = len(adj)
     parent = list(range(n))  # parent[v] <= v, so each root is its component's minimum
-    cycle = None
     for u in range(n - 1, -1, -1):
         for v in reversed(adj[u]):
             if v < u:
@@ -184,17 +174,14 @@ def _components(adj) -> tuple[list[int], Edge | None]:
             r = v
             while parent[r] != r:  # path halving
                 parent[r] = r = parent[parent[r]]
-            if r == u:
-                cycle = (u, v)
-            else:
-                parent[r] = u
+            parent[r] = u
     for v in range(n):  # a parent below v already points at its root
         parent[v] = parent[parent[v]]
-    return parent, cycle
+    return parent
 
 
 def _connected(adj) -> bool:
-    return not any(_components(adj)[0])
+    return not any(_components(adj))
 
 
 def _path(adj, i: int, j: int) -> VertexPath:

@@ -39,7 +39,7 @@ import itertools
 from functools import lru_cache
 from operator import le
 
-from .constructions import max_added_edges
+from .constructions import _check_range, max_added_edges
 from .errors import (
     BadSumError,
     InternalInconsistencyError,
@@ -60,13 +60,6 @@ GRAPHS_ORACLE_MAX_N = 8
 PARTITIONS_ORACLE_MAX_N = 12
 
 ORACLES = ("graphs", "partitions", "both")
-
-
-def _check_nd(n: int, d: int, cap: int) -> None:
-    if n < 2 or n > cap:
-        raise OutOfRangeError(f"n={n} outside 2..{cap}")
-    if not 0 <= d <= max_added_edges(n):
-        raise OutOfRangeError(f"d={d} outside 0..{max_added_edges(n)} for n={n}")
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +166,9 @@ def enumerate_connected_sequences(
     """
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
-    _check_nd(n, d, enumeration_cap(oracle, max_n))
+    if n > (cap := enumeration_cap(oracle, max_n)):
+        raise OutOfRangeError(f"n={n} outside 2..{cap}")
+    _check_range(n, d)
     if oracle == "graphs":
         return _sequences_by_graphs(n, d)
     if oracle == "partitions":

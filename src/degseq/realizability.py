@@ -5,16 +5,18 @@ decide whether a sequence is graphical; the two must agree everywhere and
 the test suite sweeps them against each other exhaustively at small sizes.
 On top of those sit a generalized reduction (any rank, any number of
 removed links, in the Wang–Kleitman style), a faster reduce-to-constant
-strategy, a majorization-based non-graphicality witness, and the
-constructive pipeline that turns a dominating connected realization into a
-realization of any dominated sequence by rewiring one unit transfer at a
-time. Each graph is built as larger-neighbor lists, frozen once
+strategy, a majorization-based non-graphicality witness, the realizations,
+which iterate that reduction at the last rank and so build a connected
+realization of every c-graphical sequence directly, and the constructive
+pipeline that turns a dominating connected realization into a realization
+of any dominated sequence by rewiring one unit transfer at a time. Each
+graph is built as larger-neighbor lists, frozen once
 graphs._check_realization passes them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from heapq import heappop, heappush
 from itertools import accumulate, pairwise
@@ -35,7 +37,6 @@ from .graphs import (
     Adjacency,
     SimpleGraph,
     _check_realization,
-    _components,
     _connected,
     _freeze,
     _link,
@@ -490,9 +491,12 @@ def non_graphical_certificate(x: DegreeSequence) -> NonGraphicalWitness | None:
 def is_c_graphical(x: DegreeSequence) -> bool:
     """Operational test: graphical, all entries positive, total >= 2(N-1).
 
-    A single vertex of degree zero is the one legal all-alone case. The
-    enumeration module cross-validates this criterion against the
-    ground-truth poset characterization at small sizes.
+    The conditions are necessary, and the smallest-first greedy of realize
+    proves them sufficient: it builds a connected realization of every
+    such sequence (see _greedy). A single vertex of degree zero is the one
+    legal all-alone case. The enumeration module cross-validates this
+    criterion against the ground-truth poset characterization at small
+    sizes.
     """
     x = DegreeSequence(x)
     n = len(x)
@@ -505,19 +509,36 @@ def is_c_graphical(x: DegreeSequence) -> bool:
 
 
 def _greedy(x: DegreeSequence) -> Adjacency:
-    """Per vertex u, the ascending list of its neighbors v > u in the greedy
-    realization of a graphical x; see realize.
+    """Per vertex u, the ascending list of its neighbors v > u in the
+    smallest-first greedy realization of a graphical x; see realize.
+
+    Each step lays off a head u of smallest positive residual d onto the d
+    other vertices of largest residual: generalized_reduce at the last
+    positive rank. Laying off any vertex that way keeps a graphical sequence
+    graphical (Kleitman and Wang, Discrete Math. 6, 1973), so every
+    graphical x is realized. A c-graphical x comes out connected, by
+    induction on n (n <= 2 is clear):
+    - After u is laid off, the rest has total at least 2(n-2): either d = 1
+      and the total was at least 2(n-1), or d >= 2 and it was at least nd.
+      So the positive part of the rest is positive, graphical and of total
+      at least 2(|support|-1), and the induction realizes it connected.
+    - A target whose residual reaches 0 hangs on u, and u reaches the
+      positive part through any other target.
+    - The one exception is every target reaching 0. Targets have the
+      largest residuals, so that needs x = (1,...,1) with n >= 3, whose
+      total n is below 2(n-1).
 
     Degree buckets: buckets[r] is a heap of the vertices with residual r.
-    The head is the smallest index in the top bucket, and its targets are
-    popped from the buckets downwards, smallest index first, which is the
-    (-residual, index) order. Targets go back one bucket lower only after
-    all of them are chosen. Each edge goes on the list of its smaller end;
-    heads need not come in index order, so each list is sorted once at the
-    end. O((n + m) log n).
+    The head is the smallest index in the lowest nonempty bucket above 0,
+    and its targets are popped from the top bucket downwards, smallest
+    index first, which is the (-residual, index) order. Targets go back one
+    bucket lower only after all of them are chosen, so no positive
+    residual is then below d - 1. Each edge goes on the list of its smaller
+    end; heads need not come in index order, so each list is sorted once at
+    the end. O((n + m) log n).
     """
     n = len(x)
-    top = x[0]
+    top, low = x[0], 1
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
     for v in range(n):  # ascending lists are heaps
         buckets[x[v]].append(v)
@@ -527,9 +548,11 @@ def _greedy(x: DegreeSequence) -> Adjacency:
             top -= 1
         if top == 0:
             break
-        u, d = heappop(buckets[top]), top
+        while not buckets[low]:
+            low += 1
+        u, d = heappop(buckets[low]), low
         targets: list[tuple[int, int]] = []  # (vertex, its residual)
-        r = d
+        r = top
         while len(targets) < d and r > 0:
             bucket = buckets[r]
             while bucket and len(targets) < d:
@@ -544,6 +567,7 @@ def _greedy(x: DegreeSequence) -> Adjacency:
                 up[v].append(u)
             if r > 1:
                 heappush(buckets[r - 1], v)
+        low = d - 1 or 1
     for vs in up:
         vs.sort()
     return up
@@ -551,53 +575,39 @@ def _greedy(x: DegreeSequence) -> Adjacency:
 
 def _realization(x: DegreeSequence, connected: bool) -> Adjacency:
     """Per vertex u, the ascending list of its neighbors v > u in realize(x),
-    or with connected in realize_connected(x), checked by _check_realization;
-    the error of that function when x has no such realization."""
+    checked by _check_realization and, with connected, for connectivity;
+    the error of realize, or with connected of realize_connected, when x
+    has no such realization."""
     if connected and not is_c_graphical(x):
         raise NotCGraphicalError(f"{format_sequence(x)} is not c-graphical")
     if not connected and not erdos_gallai(x):
         raise NotGraphicalError(f"{format_sequence(x)} is not graphical")
     up = _greedy(x)
-    while connected:
-        roots, cycle = _components(up)
-        if not any(roots):
-            break
-        if cycle is None:
-            raise InternalInconsistencyError("no cycle edge in a graph that must have one")
-        a, b = cycle
-        # every vertex has degree >= 1, and the first vertex outside a's
-        # component is the smallest of its own, so its first edge is in up
-        c = next(v for v, r in enumerate(roots) if r != roots[a])
-        d = up[c][0]
-        up[a].remove(b)
-        up[c].remove(d)
-        insort(up[min(a, c)], max(a, c))
-        insort(up[min(b, d)], max(b, d))
     _check_realization(x, up)
+    if connected and not _connected(up):
+        raise InternalInconsistencyError("the greedy realization is disconnected")
     return up
 
 
 def realize(x: DegreeSequence) -> SimpleGraph:
-    """Greedy head-first realization; vertex v gets the rank v+1 degree.
+    """Smallest-first greedy realization; vertex v gets the rank v+1 degree.
 
-    The head is the smallest vertex among those of largest residual
-    degree; it is joined to the next largest residuals, smaller vertex
-    first, and leaves the pool. O((n + m) log n) with degree buckets, on
-    lists of larger neighbors that are checked and frozen once.
+    The head is the smallest vertex among those of smallest positive
+    residual degree; it is joined to the largest other residuals, smaller
+    vertex first, and leaves the pool. The result is connected whenever x
+    is c-graphical, so it equals realize_connected(x) then. O((n + m) log n)
+    with degree buckets, on lists of larger neighbors that are checked and
+    frozen once.
     """
     return _freeze(_realization(DegreeSequence(x), False))
 
 
 def realize_connected(x: DegreeSequence) -> SimpleGraph:
-    """Connected realization via degree-preserving swaps.
+    """Connected realization: realize(x), for a c-graphical x.
 
-    Starts from the greedy realization and repeatedly swaps the
-    lexicographically first edge {a,b} on a cycle against the first edge
-    {c,d} of another component for {a,c},{b,d}, which merges the two
-    components without touching any degree. Feasibility is exactly the
-    operational c-graphicality test. The swaps edit the greedy's lists of
-    larger neighbors, and each merge runs one union-find pass over them,
-    near-linear in m; the lists are checked and frozen once.
+    The smallest-first greedy proves is_c_graphical's test sufficient by
+    construction (see _greedy); one union-find pass confirms the
+    connectivity, and the lists are checked and frozen once.
     """
     return _freeze(_realization(DegreeSequence(x), True))
 

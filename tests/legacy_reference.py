@@ -1,16 +1,20 @@
-"""Verbatim copies of earlier library code, kept as pinning references.
+"""Verbatim copies of earlier library code, kept as pinning references,
+and one reference written from a definition.
 
 The pinning tests compare the library against these:
-- the first, quadratic realization and transfer code: the rewritten
-  `realize`, `realize_connected`, `decompose_into_basic_transfers`,
-  `apply_inverse_transfer` and `realize_via_domination` must give exactly
-  the same edge sets and chains. The bodies are kept as they were (greedy
-  realization re-sorting every vertex per head, one edge removal and one
-  BFS per candidate cycle edge, one deficit profile per unit transfer, one
-  graph copy per rewiring step);
+- the smallest-first greedy realization (`smallest_first_realization`), a
+  plain re-sorting reference written from its definition, not earlier
+  library code: `realize` and `realize_connected` must give exactly the
+  same edge sets and raise the same errors;
+- the first, quadratic transfer code: the rewritten
+  `decompose_into_basic_transfers`, `apply_inverse_transfer` and
+  `realize_via_domination` must give exactly the same chains and edge
+  sets. The bodies are kept as they were (one deficit profile per unit
+  transfer, one graph copy per rewiring step);
 - the immutable graph edits these use (`add_edge`, `remove_edge`,
-  `two_swap`, `find_path`, `component_labels`), each of which copies the
-  whole edge set, and the two errors only they raise;
+  `find_path`), each of which copies the whole edge set, and `two_swap`,
+  the edit of the former swap-based connected realization, still tested
+  on its own, with the two errors only they raise;
 - the re-sorting reductions (`hh_reduce`, `generalized_reduce`,
   `havel_hakimi_trace`, `reduce_to_constant`) and the `check` command's
   rendering of their traces (`format_sequence`, `_print_trace`,
@@ -41,7 +45,6 @@ from degseq.errors import (
     HeadTooLargeError,
     InternalInconsistencyError,
     LengthMismatchError,
-    NoPathError,
     NotCGraphicalError,
     NotGraphicalError,
     NotMajorizedError,
@@ -54,7 +57,6 @@ from degseq.errors import (
 from degseq.graphs import (
     SimpleGraph,
     VertexPath,
-    _components,
     _connected,
     _path,
     degree_sequence,
@@ -86,12 +88,6 @@ class SwapBlockedError(DegseqError):
 
 def _norm(u: int, v: int) -> tuple[int, int]:  # the library's former graphs._norm
     return (u, v) if u < v else (v, u)
-
-
-def component_labels(g: SimpleGraph) -> list[int]:
-    """Component id per vertex, ids assigned in ascending first-vertex order."""
-    ids: dict[int, int] = {}
-    return [ids.setdefault(r, len(ids)) for r in _components(g._adjacency)[0]]
 
 
 def find_path(g: SimpleGraph, i: int, j: int) -> VertexPath:
@@ -146,63 +142,36 @@ def format_sequence(seq: Iterable[int]) -> str:
     return ",".join(str(v) for v in seq)
 
 
-def realize(x: DegreeSequence) -> SimpleGraph:
-    """Greedy head-first realization; vertex v gets the rank v+1 degree."""
+def smallest_first_realization(x: DegreeSequence, connected: bool = False) -> SimpleGraph:
+    """The smallest-first greedy realization, written from its definition.
+
+    Not earlier library code: a plain reference for `realize` and
+    `realize_connected`. Each step re-sorts every vertex; the head is the
+    smallest vertex among those of smallest positive residual d, and it is
+    joined to the d other vertices of largest residual, smaller vertex
+    first. With connected, x must pass the c-graphicality test instead of
+    Erdős–Gallai, and the graph is the same.
+    """
     x = DegreeSequence(x)
-    if not erdos_gallai(x):
+    if connected and not is_c_graphical(x):
+        raise NotCGraphicalError(f"{format_sequence(x)} is not c-graphical")
+    if not connected and not erdos_gallai(x):
         raise NotGraphicalError(f"{format_sequence(x)} is not graphical")
     n = len(x)
     residual = list(x)
     edges: set[tuple[int, int]] = set()
-    while True:
-        order = sorted(range(n), key=lambda v: (-residual[v], v))
-        u = order[0]
+    while any(residual):
+        u = min((v for v in range(n) if residual[v]), key=lambda v: (residual[v], v))
         d = residual[u]
-        if d == 0:
-            break
-        targets = [v for v in order[1:] if residual[v] > 0][:d]
+        residual[u] = 0
+        order = sorted(range(n), key=lambda v: (-residual[v], v))
+        targets = [v for v in order if residual[v] > 0][:d]
         if len(targets) < d:
             raise InternalInconsistencyError("greedy realization ran out of targets")
         for v in targets:
-            edges.add((u, v) if u < v else (v, u))
+            edges.add(_norm(u, v))
             residual[v] -= 1
-        residual[u] = 0
     return SimpleGraph(n, frozenset(edges))
-
-
-def _first_cycle_edge(g: SimpleGraph) -> tuple[int, int]:
-    """Lexicographically first non-bridge edge; exists whenever some
-    component carries a cycle."""
-    for u, v in g.sorted_edges():
-        h = remove_edge(g, u, v)
-        try:
-            find_path(h, u, v)
-        except NoPathError:
-            continue
-        return (u, v)
-    raise InternalInconsistencyError("no cycle edge in a graph that must have one")
-
-
-def realize_connected(x: DegreeSequence) -> SimpleGraph:
-    """Connected realization via degree-preserving swaps.
-
-    Starts from the greedy realization and repeatedly swaps a cycle edge
-    against the first edge of another component, which merges components
-    without touching any degree. Feasibility is exactly the operational
-    c-graphicality test.
-    """
-    x = DegreeSequence(x)
-    if not is_c_graphical(x):
-        raise NotCGraphicalError(f"{format_sequence(x)} is not c-graphical")
-    g = realize(x)
-    labels = component_labels(g)
-    while max(labels) > 0:
-        cyc = _first_cycle_edge(g)
-        cid = labels[cyc[0]]
-        cross = next(e for e in g.sorted_edges() if labels[e[0]] != cid)
-        g = two_swap(g, cyc, cross)
-        labels = component_labels(g)
-    return g
 
 
 def ranked_vertices(g: SimpleGraph) -> tuple[int, ...]:

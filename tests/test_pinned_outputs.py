@@ -1,10 +1,12 @@
-"""Pin realizations, transfer chains and reduction traces to earlier code.
+"""Pin realizations, transfer chains and reduction traces to references.
 
-`legacy_reference` keeps verbatim copies of the original greedy
-realization, connected realization, transfer decomposition and rewiring
-step. The library's rewrites must return exactly the same edge sets and
-chains (and raise the same errors), exhaustively at small sizes and on
-random inputs up to n = 60.
+`legacy_reference` keeps a re-sorting reference for the smallest-first
+greedy realization, written from its definition, and verbatim copies of
+the original transfer decomposition and rewiring step. The library's
+`realize` and `realize_connected` must return exactly the reference's edge
+sets, and its rewrites of the transfer code exactly the copies' chains and
+edge sets (all raising the same errors), exhaustively at small sizes and
+on random inputs up to n = 60.
 
 `degseq realize` must print those realizations, in every format, with the
 edges in the order of the sorted edge tuples, exhaustively up to n = 7.
@@ -91,7 +93,7 @@ def test_realize_every_graphical_sequence_up_to_7():
     for n in range(1, 8):
         for x in nonincreasing(n, n - 1):
             if erdos_gallai(x):
-                assert rebuilt(realize(x)) == legacy.realize(x), x
+                assert rebuilt(realize(x)) == legacy.smallest_first_realization(x), x
                 count += 1
     assert count == 493
 
@@ -101,15 +103,16 @@ def test_realize_connected_every_c_graphical_sequence_up_to_7():
     for n in range(1, 8):
         for x in nonincreasing(n, n - 1):
             if is_c_graphical(x):
-                assert rebuilt(realize_connected(x)) == legacy.realize_connected(x), x
+                g = rebuilt(realize_connected(x))
+                assert g == legacy.smallest_first_realization(x, True), x
                 count += 1
     assert count == 333
 
 
 def test_realize_refusals_match():
     for x in (D((3, 3, 1, 1)), D((3, 1)), D((2, 2, 0)), D((1, 1, 1, 1))):
-        assert outcome(realize_connected, x) == outcome(legacy.realize_connected, x)
-        assert outcome(realize, x) == outcome(legacy.realize, x)
+        assert outcome(realize_connected, x) == outcome(legacy.smallest_first_realization, x, True)
+        assert outcome(realize, x) == outcome(legacy.smallest_first_realization, x)
 
 
 def test_decompose_every_dominated_pair_up_to_7():
@@ -216,8 +219,8 @@ def robin_hood(draw, y):
 @given(random_graphs())
 def test_realizations_match_on_random_graph_degrees(g):
     x = degree_sequence(g)
-    assert realize(x) == legacy.realize(x)
-    assert outcome(realize_connected, x) == outcome(legacy.realize_connected, x)
+    assert realize(x) == legacy.smallest_first_realization(x)
+    assert outcome(realize_connected, x) == outcome(legacy.smallest_first_realization, x, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -244,7 +247,7 @@ def test_realize_4_regular_20000():
     assert all(g.degree(v) == 4 for v in range(n))
 
 
-# -- `realize` output against the legacy realizations ----------------------
+# -- `realize` output against the reference realizations -------------------
 
 
 def sorted_graph_json(record, g):
@@ -269,7 +272,7 @@ def realize_outcome(literal, *flags):
 
 
 def test_realize_cli_every_graphical_sequence_up_to_7():
-    """`realize` prints the legacy realization, its edges in tuple-sort
+    """`realize` prints the reference realization, its edges in tuple-sort
     order: as text, --json, --format dot and --connected."""
     count = 0
     for n in range(1, 8):
@@ -277,15 +280,16 @@ def test_realize_cli_every_graphical_sequence_up_to_7():
             if not erdos_gallai(x):
                 continue
             literal = ",".join(map(str, x))
-            g = legacy.realize(x)
+            g = legacy.smallest_first_realization(x)
             record = {"sequence": list(x), "realized": True, "n": n}
             assert realize_outcome(literal) == (0, sorted_edge_list_text(g), "")
             assert realize_outcome(literal, "--json") == (0, sorted_graph_json(record, g), "")
             assert realize_outcome(literal, "--format", "dot") == (0, sorted_dot(g), "")
             if is_c_graphical(x):
-                expected = (0, sorted_edge_list_text(legacy.realize_connected(x)), "")
+                h = legacy.smallest_first_realization(x, True)
+                expected = (0, sorted_edge_list_text(h), "")
             else:
-                _, _, message = outcome(legacy.realize_connected, x)
+                _, _, message = outcome(legacy.smallest_first_realization, x, True)
                 expected = (1, "", f"not realizable: {message}\n")
             assert realize_outcome(literal, "--connected") == expected
             count += 1

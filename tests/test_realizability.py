@@ -496,30 +496,35 @@ class TestRealizeConnected:
     def test_connects_disconnected_greedy_output(self):
         # (1,1,1,1) realizes greedily as two disjoint edges; not c-graphical
         assert not is_c_graphical(D((1, 1, 1, 1)))
-        # (2,2,2,2,2,1,1) forces a swap: greedy output is a triangle + path
+        # (2,2,2,2,2,1,1) also has a disconnected realization: a triangle and a path
         seq = D((2, 2, 2, 2, 2, 1, 1))
         if is_c_graphical(seq):
             g = realize_connected(seq)
             assert is_connected(g) and degree_sequence(g) == seq
 
     def test_c_graphical_family_exhaustive(self):
-        for n in range(2, 7):
+        """The smallest-first greedy connects every c-graphical sequence up
+        to n = 9 on its own, so realize gives the same graph."""
+        for n in range(2, 10):
             for seq in all_nonincreasing(n, n - 1):
                 if is_c_graphical(seq):
                     g = realize_connected(seq)
                     assert is_connected(g)
                     assert degree_sequence(g) == seq
+                    assert realize(seq) == g
 
-    def test_missing_cycle_edge_is_an_internal_inconsistency(self, monkeypatch, capsys):
-        # a wrong "yes" from the feasibility test on two disjoint K2s, which
-        # have no edge to swap away, must surface, not loop or mis-merge
+    def test_disconnected_greedy_is_an_internal_inconsistency(self, monkeypatch, capsys):
+        # a wrong "yes" from the feasibility test on (1,1,1,1), which the
+        # greedy realizes as two disjoint K2s, must surface, not be printed
         monkeypatch.setattr(
             realizability, "is_c_graphical", lambda x: tuple(x) == (1, 1, 1, 1)
         )
-        with pytest.raises(InternalInconsistencyError, match="no cycle edge"):
+        with pytest.raises(InternalInconsistencyError, match="greedy realization is disconnected"):
             realize_connected(D((1, 1, 1, 1)))
         assert main(["realize", "1,1,1,1", "--connected"]) == 3
-        assert "no cycle edge" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "greedy realization is disconnected" in err
 
 
 class TestRealizationCheck:
@@ -747,7 +752,7 @@ class TestRewiringCertificate:
 # each builder with inputs made here, so that building them runs no spied code
 GRAPH_BUILDERS = {
     "realize": (realize, D((3, 3, 2, 2, 1, 1))),
-    "realize_connected": (realize_connected, D([2] * 6)),  # the greedy gives two triangles
+    "realize_connected": (realize_connected, D([2] * 6)),  # the greedy gives a 6-cycle
     "realize_via_domination": (realize_via_domination, PATH_SEQUENCE, star(12)),
     "apply_inverse_transfer": (apply_inverse_transfer, broom(), 1, 5),
     "build_hub_fill": (build_hub_fill, 7, 8),  # a partial round: vertex 2 links to 3, 4 and 5
