@@ -150,8 +150,9 @@ def _cmd_check(args) -> int:
             _emit("realization: " + " ".join(graphs._edge_runs(up, "", "-", "", " ")))
         elif inconclusive:
             _emit("inconclusive: no domination witness")
-    negative = (not graphical) or (args.connected and not c_graphical)
-    return EXIT_NEGATIVE if negative and not inconclusive else EXIT_OK
+    # is_c_graphical is exact, so only a plain certificate answer can be inconclusive
+    negative = not c_graphical if args.connected else not (graphical or inconclusive)
+    return EXIT_NEGATIVE if negative else EXIT_OK
 
 
 def _cmd_realize(args) -> int:

@@ -21,10 +21,6 @@ class EdgeExistsError(DegseqError):
     """Attempt to add an edge that is already present."""
 
 
-class NoPathError(DegseqError):
-    """The requested endpoints lie in different connected components."""
-
-
 # -- sequence / order layer ---------------------------------------------
 
 class LengthMismatchError(DegseqError):

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import chain
 from operator import lt
 
-from .errors import EdgeExistsError, InternalInconsistencyError, NoPathError, SelfLoopError
+from .errors import EdgeExistsError, InternalInconsistencyError, SelfLoopError
 from .orders import DegreeSequence
 from .record import Record
 
@@ -185,7 +185,7 @@ def _connected(adj) -> bool:
 
 
 def _path(adj, i: int, j: int) -> VertexPath:
-    """Shortest i-j path; BFS in ascending neighbor order, first parent wins.
+    """Shortest i-j path, () if there is none; BFS in ascending order, first parent wins.
 
     The inverse-transfer rewiring relies on this being a shortest path:
     on a shortest path no two non-consecutive vertices are adjacent, which
@@ -204,7 +204,7 @@ def _path(adj, i: int, j: int) -> VertexPath:
                     break
                 queue.append(w)
     if j not in parent:
-        raise NoPathError(f"vertices {i} and {j} are in different components")
+        return ()
     path = [j]
     while path[-1] != i:
         path.append(parent[path[-1]])

@@ -631,48 +631,34 @@ def _rerank(order: list[int], keys: list[int], r: int, d: int) -> None:
     keys.insert(slot, -d)
 
 
-def _inverse_transfer_step(adj: Adjacency, order, keys, i: int, j: int, connected: bool) -> bool:
-    """apply_inverse_transfer on adj and its _ranks state, both edited in
-    place; returns whether the result is connected, given whether adj is.
+def _inverse_transfer_step(adj: Adjacency, order, keys, i: int, j: int) -> None:
+    """Undo the unit transfer from rank j to rank i < j on adj and its _ranks
+    state, in place: move {vi, k} to {vj, k}, k the smallest neighbor of vi
+    outside N[vj] and off the shortest vi-vj path P (() if there is none).
 
-    Rank i only falls and rank j only rises, so the precondition reads just
-    the pairs (i, i+1) and (j-1, j). A connected result is certified, not
-    searched: the edit removes {vi, k} and adds {vj, k}; if the vi-vj path
-    P is still present and k is off P and now adjacent to vj, then any w
-    still reaches vi (a simple w-vi path uses {vi, k} only as its last
-    edge, so w reaches k, then vj, then vi along P). A disconnected graph
-    takes a union-find pass, which tells when it becomes connected.
+    k exists: deg vi >= deg vj + 2 leaves two neighbors of vi outside
+    N[vj], and P holds one neighbor of vi, P[1]. The edit adds no
+    component, as an O(|P|) certificate shows. If P is still present and k
+    is now adjacent to vj, any w still reaches vi (a simple w-vi path uses
+    {vi, k} only as its last edge, so w reaches k, then vj, then vi along
+    P). With no P, removing {vi, k} splits off at most the part holding k,
+    and {vj, k} joins that part to vj's component.
     """
-    n = len(adj)
-    if not (1 <= i <= n and 1 <= j <= n) or not i < j:
-        raise PreconditionViolatedError(f"need ranks 1 <= i < j <= {n}, got i={i}, j={j}")
-    new_i, new_j = -keys[i - 1] - 1, -keys[j - 1] + 1
-    after_i = new_j if j == i + 1 else -keys[i]
-    before_j = new_i if j == i + 1 else -keys[j - 2]
-    if new_i < after_i or before_j < new_j:
-        raise PreconditionViolatedError(
-            "inverse transfer would not produce a non-increasing sequence"
-        )
     vi, vj = order[i - 1], order[j - 1]
-    path = _path(adj, vi, vj) if connected else (vi, vj)
-    excluded = set(path)
-    adj_j = set(adj[vj])
-    pivot = next((k for k in adj[vi] if k not in adj_j and k not in excluded), None)
+    path = _path(adj, vi, vj)
+    excluded = {*path, *adj[vj]}
+    pivot = next((k for k in adj[vi] if k not in excluded), None)
     if pivot is None:
         raise InternalInconsistencyError(
             f"no rewiring pivot for ranks {i},{j}; this contradicts the existence argument"
         )
     _unlink(adj, vi, pivot)
     _link(adj, vj, pivot)
-    if not connected:
-        connected = _connected(adj)
-    elif pivot in excluded or pivot not in adj[vj] or any(
-        b not in adj[a] for a, b in zip(path, path[1:])
-    ):
+    if pivot not in adj[vj] or any(b not in adj[a] for a, b in pairwise(path)):
         raise InternalInconsistencyError("rewired graph lost connectivity")
+    new_i, new_j = -keys[i - 1] - 1, -keys[j - 1] + 1
     _rerank(order, keys, j - 1, new_j)
     _rerank(order, keys, i - 1, new_i)
-    return connected
 
 
 def _rewired(adj: Adjacency, connected: bool) -> SimpleGraph:
@@ -689,15 +675,23 @@ def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
     """Rewire g so its degree sequence loses one unit at rank i, gains at rank j.
 
     If g realizes X' and X' arises from X by a unit transfer moving rank j
-    to rank i (i < j), the result realizes X. The rank-r vertex is the
-    r-th in descending degree, smaller index first among ties. The pivot k
-    is the smallest vertex adjacent to the rank-i vertex, not adjacent to
-    the rank-j vertex, and (in the connected case) off the shortest path
-    between them; moving the edge (i,k) to (j,k) keeps connectivity, as
-    certified along that path. One step of realize_via_domination on a copy of g.
+    to rank i (i < j), the result realizes X; the ranks must leave X
+    non-increasing. The rank-r vertex is the r-th in descending degree,
+    smaller index first among ties. This is realize_via_domination(X, g),
+    one step: the edge {vi, k} moves to {vj, k}, k the smallest neighbor
+    of vi outside N[vj] and off the shortest vi-vj path, adding no component.
     """
-    adj = _thaw(g)
-    return _rewired(adj, _inverse_transfer_step(adj, *_ranks(adj), i, j, _connected(adj)))
+    x = list(degree_sequence(g))
+    n = len(x)
+    if not (1 <= i <= n and 1 <= j <= n) or not i < j:
+        raise PreconditionViolatedError(f"need ranks 1 <= i < j <= {n}, got i={i}, j={j}")
+    x[i - 1] -= 1
+    x[j - 1] += 1
+    if x[i - 1] < x[i] or x[j - 2] < x[j - 1]:
+        raise PreconditionViolatedError(
+            "inverse transfer would not produce a non-increasing sequence"
+        )
+    return realize_via_domination(x, g)
 
 
 def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGraph:
@@ -705,11 +699,12 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
 
     Decomposes x <= degree_sequence(g_prime) into unit transfers, then
     undoes them on one mutable copy of the graph from the last to the
-    first (apply_inverse_transfer's step), ranks sorted once and then kept
-    by moving the two changed vertices. A connected step runs one shortest-
-    path BFS and an O(|path|) certificate, a disconnected one a union-find
-    connectivity pass. The result has degree sequence x and is connected whenever g_prime
-    is; both are checked once at the end, on the lists it is frozen from.
+    first, ranks sorted once and then kept by moving the two changed
+    vertices. Each step runs one shortest-path BFS and an O(|path|)
+    certificate that it adds no component (see _inverse_transfer_step).
+    The result has degree sequence x and never more components than
+    g_prime, so it is connected whenever g_prime is; both are checked once
+    at the end, on the lists it is frozen from.
     """
     x = DegreeSequence(x)
     chain = decompose_into_basic_transfers(x, degree_sequence(g_prime))
@@ -717,7 +712,7 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
     order, keys = _ranks(adj)
     connected = _connected(adj)
     for t in reversed(chain.steps):
-        connected = _inverse_transfer_step(adj, order, keys, t.to_rank, t.from_rank, connected)
+        _inverse_transfer_step(adj, order, keys, t.to_rank, t.from_rank)
     if DegreeSequence(map(len, adj)) != x:
         raise InternalInconsistencyError("domination pipeline produced wrong degrees")
     return _rewired(adj, connected)

@@ -1,5 +1,5 @@
 """Verbatim copies of earlier library code, kept as pinning references,
-and one reference written from a definition.
+and two references written from a definition.
 
 The pinning tests compare the library against these:
 - the smallest-first greedy realization (`smallest_first_realization`), a
@@ -7,14 +7,18 @@ The pinning tests compare the library against these:
   library code: `realize` and `realize_connected` must give exactly the
   same edge sets and raise the same errors;
 - the first, quadratic transfer code: the rewritten
-  `decompose_into_basic_transfers`, `apply_inverse_transfer` and
-  `realize_via_domination` must give exactly the same chains and edge
-  sets. The bodies are kept as they were (one deficit profile per unit
+  `decompose_into_basic_transfers` must give exactly the same chains, and
+  `apply_inverse_transfer` and `realize_via_domination` the same edge
+  sets on connected hosts and in the exhaustive sweeps of small hosts.
+  The bodies are kept as they were (one deficit profile per unit
   transfer, one graph copy per rewiring step);
+- the shortest-path rewiring on any host (`rewiring_reference`), a plain
+  reference written from its rule, not earlier library code: on a
+  disconnected host, where the first code excluded no path from the
+  pivot, `realize_via_domination` must give the same edge sets;
 - the immutable graph edits these use (`add_edge`, `remove_edge`,
-  `find_path`), each of which copies the whole edge set, and `two_swap`,
-  the edit of the former swap-based connected realization, still tested
-  on its own, with the two errors only they raise;
+  `find_path`), each of which copies the whole edge set, with the error
+  only they raise;
 - the re-sorting reductions (`hh_reduce`, `generalized_reduce`,
   `havel_hakimi_trace`, `reduce_to_constant`) and the `check` command's
   rendering of their traces (`format_sequence`, `_print_trace`,
@@ -82,10 +86,6 @@ class EdgeMissingError(DegseqError):
     """Attempt to remove or rewire an edge that is not present."""
 
 
-class SwapBlockedError(DegseqError):
-    """A two-swap would collide with existing edges or shared vertices."""
-
-
 def _norm(u: int, v: int) -> tuple[int, int]:  # the library's former graphs._norm
     return (u, v) if u < v else (v, u)
 
@@ -118,24 +118,6 @@ def remove_edge(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
     if e not in g.edges:
         raise EdgeMissingError(f"edge {e} not present")
     return SimpleGraph(g.n, g.edges - {e})
-
-
-def two_swap(g: SimpleGraph, e1: tuple[int, int], e2: tuple[int, int]) -> SimpleGraph:
-    """Replace edges {a,b},{c,d} by {a,c},{b,d}; degrees are unchanged.
-
-    Requires the four endpoints distinct and both replacement edges absent.
-    """
-    a, b = _norm(*e1)
-    c, d = _norm(*e2)
-    for e in ((a, b), (c, d)):
-        if e not in g.edges:
-            raise EdgeMissingError(f"edge {e} not present")
-    if len({a, b, c, d}) != 4:
-        raise SwapBlockedError("swap endpoints must be four distinct vertices")
-    for e in (_norm(a, c), _norm(b, d)):
-        if e in g.edges:
-            raise SwapBlockedError(f"replacement edge {e} already present")
-    return SimpleGraph(g.n, (g.edges - {(a, b), (c, d)}) | {_norm(a, c), _norm(b, d)})
 
 
 def format_sequence(seq: Iterable[int]) -> str:
@@ -277,6 +259,37 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
         g = apply_inverse_transfer(g, t.to_rank, t.from_rank)
     if degree_sequence(g) != x:
         raise InternalInconsistencyError("domination pipeline produced wrong degrees")
+    return g
+
+
+def rewiring_reference(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGraph:
+    """The shortest-path rewiring, written from its rule.
+
+    Not earlier library code: a plain reference for `realize_via_domination`
+    on any host, connected or not. It undoes the unit transfers of
+    x <= degree_sequence(g_prime) from the last to the first. For the
+    transfer from rank j to rank i, vi and vj are the rank-i and rank-j
+    vertices, and P is the BFS path from vi to vj (neighbors in ascending
+    order, the first visit sets the parent), or () when vj is not
+    reachable. The pivot is the smallest neighbor of vi that is neither
+    adjacent to vj nor on P, and the edge {vi, pivot} becomes {vj, pivot}.
+    """
+    g = g_prime
+    for t in reversed(decompose_into_basic_transfers(x, degree_sequence(g)).steps):
+        ranks = ranked_vertices(g)
+        vi, vj = ranks[t.to_rank - 1], ranks[t.from_rank - 1]
+        parent = {vi: None}
+        queue = [vi]
+        for u in queue:
+            for w in g.neighbors(u):
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+        path = [vj] if vj in parent else []
+        while path and parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        pivot = min(k for k in g.neighbors(vi) if k not in g.neighbors(vj) and k not in path)
+        g = add_edge(remove_edge(g, vi, pivot), vj, pivot)
     return g
 
 

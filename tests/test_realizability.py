@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 import sys
 from bisect import insort
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from brute_partitions import partitions
-from conftest import small_graphs
+from conftest import random_graphs, small_graphs
 
 from degseq.errors import (
     BadCountError,
@@ -25,7 +26,7 @@ from degseq.errors import (
 from degseq import realizability
 from degseq.cli import main
 from degseq.constructions import build_clique_fill, build_hub_fill, incomplete_star
-from degseq.graphs import SimpleGraph, degree_sequence, is_connected
+from degseq.graphs import SimpleGraph, _components, degree_sequence, is_connected
 from degseq.orders import DegreeSequence, decompose_into_basic_transfers, min_tail_sum
 from degseq.realizability import (
     Verdict,
@@ -633,6 +634,58 @@ class TestRealizeViaDomination:
     @given(small_graphs(min_n=2, max_n=7))
     def test_random_graph_self_domination(self, g):
         assert realize_via_domination(degree_sequence(g), g) == g
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_never_more_components_than_the_host(self, data):
+        g = data.draw(random_graphs(max_n=40))
+        deg = [g.degree(v) for v in range(g.n)]
+        moves = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))
+        for i, j in data.draw(st.lists(moves, max_size=4 * g.n)):
+            if deg[i] >= deg[j] + 2:  # rich to poor, so the result stays below g's degrees
+                deg[i] -= 1
+                deg[j] += 1
+        h = realize_via_domination(D(deg), g)
+        assert degree_sequence(h) == D(deg)
+        assert components(h) <= components(g)
+
+    def test_star_and_an_isolated_vertex(self):
+        # the last step moves an edge of vertex 0 to vertex 3, joined by the
+        # path 0-1-2-3; the pivot 1, on that path, would close the triangle
+        # 1-2-3 and leave 4-0-5 and 6: three components
+        g = SimpleGraph.from_edges(7, [(0, v) for v in range(1, 6)])
+        h = realize_via_domination(D((2, 2, 2, 2, 1, 1, 0)), g)
+        assert h.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)}  # the path 5-0-1-2-3-4
+        assert components(h) == components(g) == 2
+
+    def test_4000_vertices_and_an_isolated_vertex(self):
+        g, x = tree_plus_isolated_vertex(4000, seed=1)
+        assert components(g) == 2 and x[-1] == 0 and x != degree_sequence(g)
+        h = realize_via_domination(x, g)
+        assert degree_sequence(h) == x
+        assert components(h) == 2
+
+
+def components(g):
+    return len(set(_components(g._adjacency)))
+
+
+def tree_plus_isolated_vertex(n, seed):
+    """A random tree on 0..n-2 with n - 2 more random edges, the isolated
+    vertex n-1, and the degrees x left by n random rich-to-poor unit moves
+    among 0..n-2, so x <= the graph's degrees and x keeps one zero."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n - 1)}
+    while len(edges) < 2 * (n - 2):
+        edges.add(tuple(sorted(rng.sample(range(n - 1), 2))))
+    g = SimpleGraph(n, frozenset(edges))
+    deg = [g.degree(v) for v in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n - 1), 2)
+        if deg[i] >= deg[j] + 2:
+            deg[i] -= 1
+            deg[j] += 1
+    return g, D(deg)
 
 
 class BrokenRewiring:
