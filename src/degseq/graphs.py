@@ -18,7 +18,7 @@ read them too, so the CLI builds no graph.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Iterable
 from functools import cached_property
@@ -189,10 +189,22 @@ def _path(adj, i: int, j: int) -> VertexPath:
 
     The inverse-transfer rewiring relies on this being a shortest path:
     on a shortest path no two non-consecutive vertices are adjacent, which
-    is what makes the rewiring pivot always exist.
+    is what makes the rewiring pivot always exist. Paths of one or two
+    edges are found without the BFS, by binary search in the ascending
+    lists: the BFS's two-edge path runs through the smallest common
+    neighbor, the first neighbor of i it expands that reaches j.
     """
     if i == j:
         raise ValueError("path endpoints must differ")
+    nbrs = adj[i]
+    p = bisect_left(nbrs, j)
+    if p < len(nbrs) and nbrs[p] == j:
+        return i, j
+    short, other = sorted((nbrs, adj[j]), key=len)
+    for w in short:  # ascending, so the first common neighbor is the smallest
+        p = bisect_left(other, w)
+        if p < len(other) and other[p] == w:
+            return i, w, j
     parent = {i: i}
     queue = deque([i])
     while queue and j not in parent:

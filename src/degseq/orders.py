@@ -63,15 +63,16 @@ def parse_sequence(text: str) -> tuple[DegreeSequence, bool]:
     Returns the (descending-sorted) sequence and a flag telling whether the
     input was already sorted, so callers can warn about reordering.
     """
-    parts = [p.strip() for p in text.strip().strip('"').split(",")]
+    parts = list(map(str.strip, text.strip().strip('"').split(",")))
     # ASCII digits only: int() alone would also read "1_0", "+3" and "٣"
-    if not (all(map(str.isascii, parts)) and all(map(str.isdigit, parts))):
+    digits = "".join(parts)
+    if not (digits.isascii() and digits.isdigit()) or "" in parts:
         if all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
             raise ValueError("sequence entries must be non-negative")
         raise ValueError(f"cannot parse sequence literal {text!r}")
-    raw = [int(p) for p in parts]
-    seq = DegreeSequence(raw)
-    return seq, list(seq) == raw
+    raw = list(map(int, parts))
+    vals = sorted(raw, reverse=True)  # digits only: non-negative, and split gives one part or more
+    return DegreeSequence._from_sorted(vals), vals == raw
 
 
 def format_sequence(seq: Iterable[int]) -> str:

@@ -187,26 +187,29 @@ def erdos_gallai_violation(x: DegreeSequence) -> tuple[int, int, int] | None:
 
     The k-th inequality reads lhs = x_1 + ... + x_k <= rhs = k(k-1) +
     sum over j > k of min(x_j, k); the smallest failing k is returned.
-    Parity is not checked here. One pass over k in exact integers, O(N)
-    after sorting (Tripathi & Vijay 2003): q counts the entries >= k and
-    only moves left as k grows, so while q > k the tail sum is k(q-k) plus
-    the running sum of x[q:], and from then on it is the plain remainder.
+    Parity is not checked here.
+
+    The scan stops at the first k with x_k < k, once inequalities 1..k-1
+    hold: then every later entry is at most k-1 too, so from inequality
+    k-1 to k the left side grows by x_k and the right side by 2(k-1) - x_k
+    >= x_k, and inequality k-1 implies k and, the same way, every later
+    one. So it runs at most h+1 rounds for the Durfee number h <= √(sum x).
+    While x_k >= k, the q >= k entries >= k are counted by binary search in
+    the ascending copy of x, and the tail sum is k(q-k) plus the sum of the
+    entries below k, read off that copy's prefix sums (Tripathi & Vijay
+    2003): O(h log N) Python steps after O(N) C-level work.
     """
     x = DegreeSequence(x)
     n = len(x)
-    total = sum(x)
-    q = n
-    low = 0  # sum(x[q:])
+    ascending = x[::-1]
+    below = list(accumulate(ascending, initial=0))  # below[m]: the m smallest entries' sum
     prefix = 0
-    for k in range(1, n + 1):
-        prefix += x[k - 1]
-        while q and x[q - 1] < k:
-            q -= 1
-            low += x[q]
-        if q > k:
-            rhs = k * (k - 1) + k * (q - k) + low
-        else:
-            rhs = k * (k - 1) + total - prefix
+    for k, v in enumerate(x, 1):
+        if v < k:
+            return None
+        prefix += v
+        m = bisect_left(ascending, k)  # the entries below k
+        rhs = k * (k - 1) + k * (n - m - k) + below[m]
         if prefix > rhs:
             return k, prefix, rhs
     return None
@@ -252,43 +255,6 @@ def _runs(x: DegreeSequence) -> Runs:
     return list(counts), list(counts.values()), list(accumulate(counts.values()))
 
 
-def _lower(runs: Runs, links: int) -> Runs | None:
-    """Take the head out and subtract one from the links >= 1 largest
-    remaining entries: the new runs, or None when a lowered entry is zero.
-    The run of the last lowered value v is split, its unlowered part first
-    (the same multiset as lowering its rightmost copies); only that part
-    and the run below can meet an equal neighbour. One binary search, O(r)
-    C-level list work for r runs and one comprehension over the lowered runs."""
-    values, counts, ends = runs[0][:], runs[1][:], runs[2][:]
-    if counts[0] > 1:
-        counts[0] -= 1
-    else:
-        del values[0], counts[0], ends[0]
-    start = ends[0] - counts[0]
-    i = bisect_left(ends, start + links)  # the remaining entries hold links or more
-    v, c = values[i], counts[i]
-    if v == 0:
-        return None
-    left = start + links - ends[i] + c
-    head, head_counts, head_ends = [u - 1 for u in values[:i]], counts[:i], ends[:i]
-    if c > left and head and head[-1] == v:
-        head_counts[-1] += c - left
-        head_ends[-1] += c - left
-    elif c > left:
-        head.append(v)
-        head_counts.append(c - left)
-        head_ends.append(ends[i] - left)
-    head.append(v - 1)
-    head_counts.append(left)
-    head_ends.append(ends[i])
-    below = i + 1
-    if below < len(values) and values[below] == v - 1:
-        head_counts[-1] += counts[below]
-        head_ends[-1] = ends[below]
-        below += 1
-    return head + values[below:], head_counts + counts[below:], head_ends + ends[below:]
-
-
 def _insert(runs: Runs, u: int) -> None:  # one more entry u, in place
     values, counts, ends = runs
     p = bisect_left(values, -u, key=neg)
@@ -309,29 +275,62 @@ def _reduction(x: DegreeSequence, constant: bool, keep: float = float("inf")) ->
     on runs, for `check` and havel_hakimi. states[i] is the chain's i-th
     sequence as its values and counts and rules[i] the rule to states[i + 1];
     both are emptied once printed, the integers of every step's before and
-    after, exceeds keep. A step costs one binary search and O(r) C-level
-    list work for r distinct values plus a comprehension over its lowered
-    runs; O(r) memory at keep=0.
+    after, exceeds keep.
+
+    One (values, counts, ends) triple is edited in place, and a state is
+    copied only when it is kept, so keep=0 holds O(r) memory for r distinct
+    values. A step takes the head out and subtracts one from the links
+    largest remaining entries. The run of the last lowered value v is split,
+    its unlowered part first (the same multiset as lowering its rightmost
+    copies); only that part and the run below can meet an equal neighbour.
+    A step costs one binary search, O(r) C-level list work and one
+    comprehension over the lowered runs. When a lowered entry would be
+    zero it stops with only the head taken out, so the outcome still reads
+    the last value from before the step.
     """
     runs, n = _runs(x), len(x)
-    states, rules, printed = [runs[:2]], [], 0
+    values, counts, ends = runs
+    states, rules, printed = [(values[:], counts[:])], [], 0
     # step while the head fits and the sequence is not yet constant (constant) or all zero (hh)
-    while (h := runs[0][0]) <= n - 1 and (runs[0][-1] < h if constant else h > 0):
-        links = min(h - runs[0][-1], n - 1) if constant else h
-        if (lowered := _lower(runs, links)) is None:
+    while (h := values[0]) <= n - 1 and (values[-1] < h if constant else h > 0):
+        links = min(h - values[-1], n - 1) if constant else h
+        if counts[0] > 1:  # take the head out; the last run stays (n >= 2 entries)
+            counts[0] -= 1
+        else:
+            del values[0], counts[0], ends[0]
+        start = ends[0] - counts[0]  # where the remaining entries begin
+        i = bisect_left(ends, start + links)  # the run of the last lowered entry
+        v = values[i]
+        if v == 0:
             break
-        runs = lowered
+        left = start + links - ends[i] + counts[i]  # its lowered copies
+        values[:i] = [u - 1 for u in values[:i]]
+        if left < counts[i]:  # the unlowered copies of v stay before the lowered ones
+            if i and values[i - 1] == v:
+                counts[i - 1] += counts[i] - left
+                ends[i - 1] += counts[i] - left
+            else:
+                values.insert(i, v)
+                counts.insert(i, counts[i] - left)
+                ends.insert(i, ends[i] - left)
+                i += 1
+            counts[i] = left
+        values[i] = v - 1
+        if i + 1 < len(values) and values[i + 1] == v - 1:
+            counts[i] += counts[i + 1]
+            ends[i] = ends[i + 1]
+            del values[i + 1], counts[i + 1], ends[i + 1]
         if constant:
             _insert(runs, h - links)
         printed += 2 * n - (not constant)
         if printed <= keep:
-            states.append(runs[:2])
+            states.append((values[:], counts[:]))
             rules.append(f"reduce(k=1,n={links})" if constant else "hh")
-        elif rules:  # over keep: no trace will be printed
+        elif states:  # over keep: no trace will be printed
             states.clear()
             rules.clear()
         n -= not constant
-    return _Reduction(*_outcome(x, constant, h, runs[0][-1], n), states, rules, printed)
+    return _Reduction(*_outcome(x, constant, h, values[-1], n), states, rules, printed)
 
 
 def _rendered_steps(states: list, rules: list[str], sep: str):
@@ -700,8 +699,9 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
     Decomposes x <= degree_sequence(g_prime) into unit transfers, then
     undoes them on one mutable copy of the graph from the last to the
     first, ranks sorted once and then kept by moving the two changed
-    vertices. Each step runs one shortest-path BFS and an O(|path|)
-    certificate that it adds no component (see _inverse_transfer_step).
+    vertices. Each step finds one shortest path (by binary search when it
+    has at most two edges, else by BFS) and runs an O(|path|) certificate
+    that it adds no component (see _inverse_transfer_step).
     The result has degree sequence x and never more components than
     g_prime, so it is connected whenever g_prime is; both are checked once
     at the end, on the lists it is frozen from.

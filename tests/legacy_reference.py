@@ -278,19 +278,27 @@ def rewiring_reference(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGraph:
     for t in reversed(decompose_into_basic_transfers(x, degree_sequence(g)).steps):
         ranks = ranked_vertices(g)
         vi, vj = ranks[t.to_rank - 1], ranks[t.from_rank - 1]
-        parent = {vi: None}
-        queue = [vi]
-        for u in queue:
-            for w in g.neighbors(u):
-                if w not in parent:
-                    parent[w] = u
-                    queue.append(w)
-        path = [vj] if vj in parent else []
-        while path and parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
+        path = bfs_path(g._adjacency, vi, vj)
         pivot = min(k for k in g.neighbors(vi) if k not in g.neighbors(vj) and k not in path)
         g = add_edge(remove_edge(g, vi, pivot), vj, pivot)
     return g
+
+
+def bfs_path(adj, i: int, j: int) -> VertexPath:
+    """The BFS path from i to j over the ascending neighbor lists adj,
+    written from its rule: the whole component is searched, and the first
+    visit of a vertex sets its parent; () when j is not reachable."""
+    parent = {i: None}
+    queue = [i]
+    for u in queue:
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    path = [j] if j in parent else []
+    while path and parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 # -- re-sorting reductions and their rendering by `check` ------------------

@@ -651,7 +651,8 @@ class TestOneVerdictPath:
     def test_trace_builds_no_sequence_per_step(self, check, monkeypatch, method):
         """The trace is printed from runs of equal values: no DegreeSequence
         per step and no library reduction, in text and JSON, with and
-        without --connected; the output stays the same."""
+        without --connected; the output stays the same. The parser's sorted
+        input is the one sequence each run builds."""
         literals = ["5,4,4,3,3,3", "4,4,3,3,2,2,1,1,0,0", "3,3,3,1", "6,6,6,6,6,6,6,2,2,1"]
         literals.append(",".join(map(str, [40] * 10 + [12] * 60 + [3] * 100 + [0] * 30)))
         runs = [
@@ -664,10 +665,15 @@ class TestOneVerdictPath:
         def forbidden(*args):
             raise AssertionError("built a sequence for a trace step")
 
-        monkeypatch.setattr(DegreeSequence, "_from_sorted", forbidden)
+        built = []
+        from_sorted = DegreeSequence._from_sorted
+        monkeypatch.setattr(
+            DegreeSequence, "_from_sorted", lambda vals: built.append(vals) or from_sorted(vals)
+        )
         for name in ("hh_reduce", "generalized_reduce", "havel_hakimi_trace", "reduce_to_constant"):
             monkeypatch.setattr(f"degseq.realizability.{name}", forbidden)
         assert [check(literal, *flags) for literal, flags in runs] == expected
+        assert len(built) == len(runs)
         assert sum("-[" in out for _, out, _ in expected) == 2 * len(literals) - 1
 
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -18,7 +20,7 @@ from degseq.graphs import (
 )
 from degseq.orders import DegreeSequence
 from degseq.realizability import is_c_graphical, realize, realize_connected
-from legacy_reference import EdgeMissingError, add_edge, find_path, remove_edge
+from legacy_reference import EdgeMissingError, add_edge, bfs_path, find_path, remove_edge
 
 
 def star(n):
@@ -76,6 +78,33 @@ class TestFindPath:
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
             _path(star(3)._adjacency, 1, 1)
+
+    def test_every_pair_of_every_graph_up_to_6(self):
+        """Adjacent ends, the two-edge search by bisection and the BFS past
+        them give the plain BFS's path, on every labeled graph with n <= 6."""
+        lengths = Counter()
+        for n in range(2, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                adj = [[] for _ in range(n)]
+                for u, v in itertools.compress(pairs, map(int, bin(mask)[:1:-1])):
+                    adj[u].append(v)
+                    adj[v].append(u)
+                for u in range(n):
+                    adj[u].sort()
+                for i, j in itertools.permutations(range(n), 2):
+                    path = _path(adj, i, j)
+                    assert path == bfs_path(adj, i, j), (adj, i, j)
+                    lengths[len(path)] += 1
+        assert lengths == {0: 78_332, 2: 502_170, 3: 342_094, 4: 71_544, 5: 9_480, 6: 720}
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=40), st.randoms(use_true_random=False))
+    def test_random_graphs_against_plain_bfs(self, g, rnd):
+        adj = [list(nbrs) for nbrs in g._adjacency]
+        for _ in range(min(g.n * (g.n - 1), 50)):
+            i, j = rnd.sample(range(g.n), 2)
+            assert _path(adj, i, j) == bfs_path(adj, i, j) == _path(g._adjacency, i, j)
 
     @pytest.mark.parametrize("i, j", [(-1, 1), (9, 1), (0, 7)])
     def test_vertex_outside_the_range_rejected(self, i, j):

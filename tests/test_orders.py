@@ -136,6 +136,33 @@ class TestDegreeSequenceType:
         seq, was_sorted = parse_sequence(" 3 , 2,1 \n")
         assert tuple(seq) == (3, 2, 1) and was_sorted
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (" 3 , 2,1 ", ((3, 2, 1), True)),
+            ('"3,2"', ((3, 2), True)),
+            ("01,2", ((2, 1), False)),
+            ("1\t,2", ((2, 1), False)),
+            ("1,,2", "cannot parse sequence literal '1,,2'"),
+            ("", "cannot parse sequence literal ''"),
+            (",", "cannot parse sequence literal ','"),
+            ("1_0,2", "cannot parse sequence literal '1_0,2'"),
+            ("+3", "cannot parse sequence literal '+3'"),
+            ("٣,1", "cannot parse sequence literal '٣,1'"),
+            ("1 2", "cannot parse sequence literal '1 2'"),
+            ("-1,2", "sequence entries must be non-negative"),
+        ],
+    )
+    def test_parse_results_and_error_texts(self, text, expected):
+        """The parts are checked as one joined string, so an empty part and
+        a space inside a part must still fail with the same text."""
+        try:
+            seq, was_sorted = parse_sequence(text)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert type(seq) is D and (tuple(seq), was_sorted) == expected
+
     def test_format_round_trip(self):
         assert format_sequence(D((4, 3, 1))) == "4,3,1"
 

@@ -6,8 +6,8 @@ the original transfer decomposition and rewiring step. The library's
 `realize` and `realize_connected` must return exactly the reference's edge
 sets, and its rewrites of the transfer code exactly the copies' chains and
 edge sets (all raising the same errors), exhaustively at small sizes and
-on random inputs up to n = 60; random disconnected hosts are compared
-with the shortest-path rewiring written from its rule instead.
+on random inputs up to n = 60; disconnected hosts are compared with the
+shortest-path rewiring written from its rule instead.
 
 `degseq realize` must print those realizations, in every format, with the
 edges in the order of the sorted edge tuples, exhaustively up to n = 7.
@@ -157,8 +157,9 @@ def test_realize_via_domination_from_both_fills_up_to_7():
 
 def test_realize_via_domination_from_graphs_with_an_isolated_vertex_up_to_6():
     """Disconnected starts: every graph on vertices 0..n-2 plus the isolated
-    vertex n-1, to every dominated sequence. Some chains connect the graph
-    midway, after which the shortest path decides the pivot."""
+    vertex n-1, to every dominated sequence, against the rewiring rule
+    written plainly. Every step's pivot avoids the shortest vi-vj path
+    whenever there is one, and a chain may join the components midway."""
     count = 0
     for n in range(2, 7):
         pairs = list(itertools.combinations(range(n - 1), 2))
@@ -168,10 +169,24 @@ def test_realize_via_domination_from_graphs_with_an_isolated_vertex_up_to_6():
             for x in nonincreasing(n, n - 1):
                 if sum(x) == sum(y) and majorized(x, y):
                     assert rebuilt_outcome(realize_via_domination, x, g) == outcome(
-                        legacy.realize_via_domination, x, g
+                        legacy.rewiring_reference, x, g
                     ), (g, x)
                     count += 1
     assert count == 5413
+
+
+def inverse_transfer_reference(g, i, j):
+    """The outcome of apply_inverse_transfer(g, i, j) by the references: the
+    first code on a connected host. On a disconnected one, the first code's
+    rank checks, which precede its rewiring, and then the rewiring rule
+    written plainly, to g's degrees with that one transfer undone."""
+    first = outcome(legacy.apply_inverse_transfer, g, i, j)
+    if is_connected(g) or first[0] == "error":
+        return first
+    x = list(degree_sequence(g))
+    x[i - 1] -= 1
+    x[j - 1] += 1
+    return outcome(legacy.rewiring_reference, D(x), g)
 
 
 def test_apply_inverse_transfer_every_graph_and_rank_pair_up_to_5():
@@ -183,8 +198,8 @@ def test_apply_inverse_transfer_every_graph_and_rank_pair_up_to_5():
             g = SimpleGraph(n, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
             for i in range(0, n + 1):
                 for j in range(i, n + 2):
-                    assert rebuilt_outcome(apply_inverse_transfer, g, i, j) == outcome(
-                        legacy.apply_inverse_transfer, g, i, j
+                    assert rebuilt_outcome(apply_inverse_transfer, g, i, j) == (
+                        inverse_transfer_reference(g, i, j)
                     ), (g, i, j)
 
 

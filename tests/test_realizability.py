@@ -116,6 +116,10 @@ def eg_sequences(draw, max_n=300):
 
 class TestErdosGallaiViolation:
     def test_exhaustive_against_definition(self):
+        """Every non-increasing sequence with n <= 8 and entries <= n against
+        the scan of all n inequalities, which also pins the early stop at the
+        first x_k < k: stopping at x_k <= k would miss violations."""
+        count = 0
         for n in range(1, 9):
             for x in all_nonincreasing(n, n):
                 found = erdos_gallai_violation(x)
@@ -126,6 +130,8 @@ class TestErdosGallaiViolation:
                     prefix += x[k - 1]
                     assert prefix <= k * (k - 1) + min_tail_sum(x, k), (x, k)
                 assert erdos_gallai(x) is (sum(x) % 2 == 0 and found is None)
+                count += 1
+        assert count == 17_576
 
     @settings(max_examples=150, deadline=None)
     @given(eg_sequences())
@@ -140,7 +146,7 @@ class TestErdosGallaiViolation:
         assert erdos_gallai_violation(D((0,))) is None
 
     @settings(max_examples=150, deadline=None)
-    @given(eg_sequences(max_n=60))
+    @given(eg_sequences())
     def test_against_networkx(self, x):
         nx = pytest.importorskip("networkx")
         assert erdos_gallai(x) is nx.is_valid_degree_sequence_erdos_gallai(list(x))
@@ -383,6 +389,38 @@ class TestReduceToConstant:
 
 
 
+class TestReductionOnRuns:
+    """`_reduction` edits one triple of runs in place and copies a state
+    only to keep it; its chain must be the list-based _trace's."""
+
+    @staticmethod
+    def expanded(state):
+        values, counts = state
+        return [v for v, c in zip(values, counts) for _ in range(c)]
+
+    def test_every_sequence_up_to_8_at_every_keep(self):
+        count = 0
+        for n in range(1, 9):
+            for x in all_nonincreasing(n, n):
+                for constant in (False, True):
+                    graphical, trace = realizability._trace(x, constant)
+                    seqs = [list(x), *(list(step.after) for step in trace.steps)]
+                    rules = [step.rule for step in trace.steps]
+                    printed = sum(len(step.before) + len(step.after) for step in trace.steps)
+                    for keep in (float("inf"), 0, 50):
+                        chain = realizability._reduction(x, constant, keep)
+                        assert chain.graphical is graphical, (x, constant)
+                        assert chain.outcome == trace.outcome, (x, constant)
+                        assert chain.printed == printed, (x, constant)
+                        if printed <= keep:
+                            assert list(map(self.expanded, chain.states)) == seqs, (x, keep)
+                            assert chain.rules == rules, (x, constant, keep)
+                        else:
+                            assert chain.states == chain.rules == [], (x, constant, keep)
+                count += 1
+        assert count == 17_576
+
+
 class TestReductionsOnPlainLists:
     """The sequence-returning reductions step on plain lists; the runs of
     equal values serve `check --method hh|constant` and `havel_hakimi` only."""
@@ -421,7 +459,7 @@ class TestReductionsOnPlainLists:
         def forbidden(*args, **kwargs):
             raise AssertionError("built runs of equal values for a library reduction")
 
-        for name in ("_runs", "_lower", "_insert", "_reduction"):
+        for name in ("_runs", "_insert", "_reduction"):
             monkeypatch.setattr(f"degseq.realizability.{name}", forbidden)
         assert self.results() == expected
         assert sum(isinstance(r, D) for r in expected) >= 2 * len(self.SEQS)
