@@ -2,7 +2,7 @@
 
 Exit codes: 0 affirmative verdict or plain success, 1 negative verdict,
 2 usage error (unparseable input, out-of-range parameters), 3 internal
-inconsistency (oracle disagreement or a violated invariant). `check` has
+error (oracle disagreement, broken invariant, out of memory). `check` has
 one verdict path: `eg` and `certificate` take the verdict from the
 Erdős–Gallai core, `hh` and `constant` from their reduction traces (which
 agree with it everywhere), so `--method` only picks the certificate. The
@@ -20,6 +20,7 @@ modules it runs when it starts, so building the parser loads none of them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -93,10 +94,13 @@ def _cmd_check(args) -> int:
     from . import graphs, orders, realizability
     seq = _parse_seq(orders, args, args.sequence)
     method = args.method
-    certificate = trace = up = None
-    c_graphical = realizability.is_c_graphical(seq) if args.connected else None
+    certificate = trace = up = c_graphical = None
+    if args.connected:  # _realization runs the one is_c_graphical test
+        with contextlib.suppress(NotCGraphicalError):
+            up = realizability._realization(seq, True)
+        c_graphical = up is not None
     if c_graphical:  # implies graphical; the realization is printed, so no trace is built
-        graphical, up = True, realizability._realization(seq, True)
+        graphical = True
     elif method in ("hh", "constant"):  # the trace is printed from its runs
         budget = max(TRACE_BUDGET, args.max_trace or 0)
         constant = method == "constant"
@@ -364,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OracleMismatchError, InternalInconsistencyError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:  # exit 1 would read as a negative verdict
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
     except (DegseqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,19 +1,16 @@
 """Immutable labeled simple undirected graphs.
 
-Vertices are dense integers 0..n-1, and a SimpleGraph never mutates.
-Connectivity comes from one union-find pass, and shortest paths from a
-BFS that visits neighbors in ascending index order, so outputs are
-reproducible. Edges come out in ascending (u, v) order from each vertex's
-ascending list of larger neighbors, in O(m) plus sorting those short lists.
-
-The rewiring chains in `realizability` edit one graph many times, on a
-mutable adjacency, a list of ascending neighbor lists, with the
-package-internal helpers at the end of this module. The realizations are
-built as each vertex's larger neighbors only, all that union-find reads.
-The constructor validates outside input; every graph the library builds
-(realizations, rewirings, constructions) is checked once, as such lists,
-by `_check_realization`, and `_freeze` wraps them unchecked. The renderers
-read them too, so the CLI builds no graph.
+Vertices are dense integers 0..n-1, and a SimpleGraph never mutates. It
+stores one form: per vertex u, the ascending tuple of its neighbors v > u.
+Every graph the library builds is made as such lists, checked once by
+`_check_realization` and wrapped by `_freeze`; the constructor validates
+outside input and sorts it into them. The edge set and the full adjacency
+are built from them on first read, with no sort. Edges, renderings and
+union-find connectivity read them directly, so the CLI prints a
+realization's lists and builds no graph. Shortest paths come from a BFS
+that visits neighbors in ascending order, so outputs are reproducible; the
+rewirings in `realizability` edit one mutable adjacency, a list of
+ascending neighbor lists, with the package-internal helpers below.
 """
 
 from __future__ import annotations
@@ -34,21 +31,29 @@ VertexPath = tuple[int, ...]
 
 
 class SimpleGraph(Record):
-    """n vertices 0..n-1 plus a frozenset of normalized (u, v) edges."""
+    """n vertices 0..n-1 and up[u], the ascending tuple of u's neighbors v > u.
+    The constructor checks a frozenset of normalized (u, v) edges, keeps it as
+    `edges` (otherwise built on first read) and sorts it into up, which is
+    canonical: equality and hash read it, and repr and pickle (n, edges)."""
 
     __match_args__ = ("n", "edges")
-    __slots__ = (*__match_args__, "__dict__")  # the dict holds the cached adjacency
+    __slots__ = ("n", "up", "__dict__")  # the dict caches edges and the full adjacency
     n: int
-    edges: frozenset[Edge]
+    up: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("vertex count must be positive")
+        up: Adjacency = [[] for _ in range(self.n)]
         for u, v in self.edges:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range or unnormalized")
+            up[u].append(v)
+        for vs in up:
+            vs.sort()
+        object.__setattr__(self, "up", tuple(map(tuple, up)))
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -63,8 +68,19 @@ class SimpleGraph(Record):
         return cls(n=n, edges=frozenset(normed))
 
     @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.sorted_edges())
+
+    @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, _adjacency_lists(self.n, self.edges)))
+        """The ascending neighbor lists, O(n + m) with no sort: u's smaller
+        neighbors, appended in order as they ran, then up[u]."""
+        adj: Adjacency = [[] for _ in range(self.n)]
+        for u, vs in enumerate(self.up):
+            adj[u] += vs
+            for v in vs:
+                adj[v].append(u)
+        return tuple(map(tuple, adj))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
@@ -72,28 +88,33 @@ class SimpleGraph(Record):
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
 
-    def upper_neighbors(self) -> list[list[int]]:
-        """Per vertex u, the ascending list of its neighbors v > u."""
-        up: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            up[u].append(v)
-        for vs in up:
-            vs.sort()
-        return up
-
     def sorted_edges(self) -> list[Edge]:
-        """Edges in ascending order, read off upper_neighbors (no tuple sort)."""
-        return [(u, v) for u, vs in enumerate(self.upper_neighbors()) for v in vs]
+        """Edges in ascending order, read off up."""
+        return [(u, v) for u, vs in enumerate(self.up) for v in vs]
+
+    def __eq__(self, other):  # edge-set equality
+        return self.up == other.up if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.up)
+
+    def to_dict(self) -> dict:
+        """The graph as a verdict's realization certificate, edges ascending."""
+        return {"kind": "realization", "n": self.n, "edges": list(map(list, self.sorted_edges()))}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SimpleGraph":
+        return cls.from_edges(data["n"], data["edges"])
 
 
 def degree_sequence(g: SimpleGraph) -> DegreeSequence:
     """All vertex degrees, sorted non-increasingly."""
-    return DegreeSequence(g.degree(v) for v in range(g.n))
+    return DegreeSequence(map(len, g._adjacency))
 
 
 def is_connected(g: SimpleGraph) -> bool:
     """One component; a single vertex counts as connected."""
-    return _connected(g._adjacency)
+    return _connected(g.up)
 
 
 # -- mutable adjacency (package-internal) ------------------------------------
@@ -102,16 +123,6 @@ def is_connected(g: SimpleGraph) -> bool:
 # sorted, so traversals see neighbors in ascending order, as on SimpleGraph.
 
 Adjacency = list[list[int]]
-
-
-def _adjacency_lists(n: int, edges: Iterable[Edge]) -> Adjacency:
-    adj: Adjacency = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for nbrs in adj:
-        nbrs.sort()
-    return adj
 
 
 def _thaw(g: SimpleGraph) -> Adjacency:
@@ -141,7 +152,7 @@ def _freeze(up: Adjacency) -> SimpleGraph:
     built without __post_init__: the counterpart of DegreeSequence._from_sorted."""
     g = object.__new__(SimpleGraph)
     object.__setattr__(g, "n", len(up))
-    object.__setattr__(g, "edges", frozenset([(u, v) for u, vs in enumerate(up) for v in vs]))
+    object.__setattr__(g, "up", tuple(map(tuple, up)))
     return g
 
 
@@ -226,7 +237,7 @@ def _path(adj, i: int, j: int) -> VertexPath:
 # -- text formats ------------------------------------------------------------
 #
 # The renderers read per vertex u the ascending list of its neighbors v > u
-# (SimpleGraph.upper_neighbors, or the lists a realization is built on),
+# (SimpleGraph.up, or the lists a realization is built on),
 # build no edge tuple and turn each vertex number into a string once.
 
 
@@ -252,9 +263,9 @@ def _dot(up: list[list[int]]) -> str:
 
 def to_edge_list_text(g: SimpleGraph) -> str:
     """First line "n m", then one "u v" line per edge, ascending."""
-    return _edge_list_text(g.upper_neighbors())
+    return _edge_list_text(g.up)
 
 
 def to_dot(g: SimpleGraph) -> str:
     """Undirected DOT text for human inspection, default styling."""
-    return _dot(g.upper_neighbors())
+    return _dot(g.up)

@@ -10,8 +10,9 @@ which iterate that reduction at the last rank and so build a connected
 realization of every c-graphical sequence directly, and the constructive
 pipeline that turns a dominating connected realization into a realization
 of any dominated sequence by rewiring one unit transfer at a time. Each
-graph is built as larger-neighbor lists, frozen once
-graphs._check_realization passes them.
+graph is built as the larger-neighbor lists a SimpleGraph stores and
+checked once by graphs._check_realization; a realization certificate is the
+graph itself.
 """
 
 from __future__ import annotations
@@ -117,21 +118,6 @@ class NonGraphicalWitness(Record):
         return cls(d=data["d"], witness=DegreeSequence(data["witness"]))
 
 
-class RealizationCertificate(Record):
-    """Edge list of a witnessing realization."""
-
-    __slots__ = __match_args__ = ("n", "edges")
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def to_dict(self) -> dict:
-        return {"kind": "realization", "n": self.n, "edges": [list(e) for e in self.edges]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RealizationCertificate":
-        return cls(n=data["n"], edges=tuple((e[0], e[1]) for e in data["edges"]))
-
-
 class Verdict(Record):
     """Outcome of a graphicality question, with the deciding method.
 
@@ -145,7 +131,7 @@ class Verdict(Record):
     graphical: bool
     c_graphical: bool | None
     method: str
-    certificate: ReductionTrace | NonGraphicalWitness | RealizationCertificate | None
+    certificate: ReductionTrace | NonGraphicalWitness | SimpleGraph | None
 
     def __post_init__(self) -> None:
         if self.c_graphical and not self.graphical:
@@ -168,7 +154,7 @@ class Verdict(Record):
             parsed = {
                 "trace": ReductionTrace.from_dict,
                 "witness": NonGraphicalWitness.from_dict,
-                "realization": RealizationCertificate.from_dict,
+                "realization": SimpleGraph.from_dict,
             }[cert["kind"]](cert)
         return cls(
             sequence=DegreeSequence(data["sequence"]),
@@ -660,16 +646,6 @@ def _inverse_transfer_step(adj: Adjacency, order, keys, i: int, j: int) -> None:
     _rerank(order, keys, i - 1, new_i)
 
 
-def _rewired(adj: Adjacency, connected: bool) -> SimpleGraph:
-    """The graph frozen from the larger-neighbor halves of the full lists adj,
-    checked against adj's lengths, so a one-sided edit fails, and connected."""
-    up = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(adj)]
-    _check_realization(list(map(len, adj)), up)
-    if connected and not _connected(up):
-        raise InternalInconsistencyError("rewired graph lost connectivity")
-    return _freeze(up)
-
-
 def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
     """Rewire g so its degree sequence loses one unit at rank i, gains at rank j.
 
@@ -704,7 +680,8 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
     that it adds no component (see _inverse_transfer_step).
     The result has degree sequence x and never more components than
     g_prime, so it is connected whenever g_prime is; both are checked once
-    at the end, on the lists it is frozen from.
+    at the end, on the larger-neighbor halves of its full lists, against
+    those lists' lengths, so a one-sided edit fails, and then it is frozen.
     """
     x = DegreeSequence(x)
     chain = decompose_into_basic_transfers(x, degree_sequence(g_prime))
@@ -715,4 +692,8 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
         _inverse_transfer_step(adj, order, keys, t.to_rank, t.from_rank)
     if DegreeSequence(map(len, adj)) != x:
         raise InternalInconsistencyError("domination pipeline produced wrong degrees")
-    return _rewired(adj, connected)
+    up = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(adj)]
+    _check_realization(list(map(len, adj)), up)
+    if connected and not _connected(up):
+        raise InternalInconsistencyError("rewired graph lost connectivity")
+    return _freeze(up)

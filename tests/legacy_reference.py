@@ -468,8 +468,7 @@ def _cmd_check(args) -> int:
     if args.connected:
         c_graphical = graphical and realizability.is_c_graphical(seq)
         if c_graphical:
-            g = realizability.realize_connected(seq)
-            certificate = realizability.RealizationCertificate(g.n, tuple(g.sorted_edges()))
+            certificate = realizability.realize_connected(seq)
     verdict = realizability.Verdict(seq, graphical, c_graphical, method, certificate)
     inconclusive = method == "certificate" and certificate is None
 
@@ -487,8 +486,8 @@ def _cmd_check(args) -> int:
             _print_trace(certificate)
         elif isinstance(certificate, realizability.NonGraphicalWitness):
             _emit(f"witness: {format_sequence(certificate.witness)} (d={certificate.d})")
-        elif isinstance(certificate, realizability.RealizationCertificate):
-            _emit("realization: " + " ".join(f"{u}-{v}" for u, v in certificate.edges))
+        elif isinstance(certificate, SimpleGraph):
+            _emit("realization: " + " ".join(f"{u}-{v}" for u, v in certificate.sorted_edges()))
         elif inconclusive:
             _emit("inconclusive: no domination witness")
     negative = (not graphical) or (args.connected and not c_graphical)

@@ -552,6 +552,16 @@ class TestVerdictConsistency:
     def test_usage_error_on_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_memory_error_exits_3_without_a_traceback(self, capsys, monkeypatch):
+        """Exit 1 is a negative verdict, so running out of memory is exit 3."""
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("degseq.realizability._realization", exhausted)
+        for argv in (["realize", "2,2,2"], ["check", "2,2,2", "--connected", "--json"]):
+            assert run(capsys, *argv) == (3, "", "error: out of memory\n")
+
 
 def _all_check_inputs():
     """Every non-increasing sequence with n <= 7 and entries <= n."""
@@ -646,6 +656,22 @@ class TestOneVerdictPath:
         data = json.loads(out)
         assert data["graphical"] is True and data["c_graphical"] is True
         assert data["certificate"]["kind"] == "realization"
+
+    @pytest.mark.parametrize(
+        "literal, c_graphical", [("4,3,3,3,1", True), ("2,1,1,1,1", False), ("3,3,1,1", False)]
+    )
+    def test_connected_runs_one_c_graphical_test(self, check, monkeypatch, literal, c_graphical):
+        """`check --connected` runs is_c_graphical once, inside _realization,
+        on a yes, on a graphical no and on a non-graphical no."""
+        calls = []
+        monkeypatch.setattr(
+            "degseq.realizability.is_c_graphical", lambda x: calls.append(x) or is_c_graphical(x)
+        )
+        for extra in ([], ["--json"]):
+            calls.clear()
+            code, out, _ = check(literal, "--connected", *extra)
+            assert code == (0 if c_graphical else 1) and len(calls) == 1
+            assert ("c-graphical: yes" in out or '"c_graphical": true' in out) is c_graphical
 
     @pytest.mark.parametrize("method", ["hh", "constant"])
     def test_trace_builds_no_sequence_per_step(self, check, monkeypatch, method):

@@ -181,6 +181,15 @@ def sorted_dot(g):
     return "\n".join(lines) + "\n"
 
 
+def sorted_adjacency(g):
+    """Each vertex's neighbors, from the edge set, by a sort per vertex."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
 def realizations(seq):
     seq = DegreeSequence(seq)
     yield realize(seq)
@@ -189,15 +198,16 @@ def realizations(seq):
 
 
 class TestSortedEdges:
-    """sorted_edges, read off the upper neighbor lists, equals the tuple sort,
-    and the text formats built on it are unchanged."""
+    """sorted_edges, read off the stored upper neighbor lists g.up, equals
+    the tuple sort, the full adjacency built from g.up with no sort equals
+    a sort of the edge set's, and the text formats are unchanged."""
 
     @staticmethod
     def assert_unchanged(g):
         assert g.sorted_edges() == sorted(g.edges)
-        assert g.upper_neighbors() == [
-            sorted(v for v in g.neighbors(u) if v > u) for u in range(g.n)
-        ]
+        adj = sorted_adjacency(g)
+        assert g._adjacency == adj
+        assert g.up == tuple(tuple(v for v in nbrs if v > u) for u, nbrs in enumerate(adj))
         assert to_edge_list_text(g) == sorted_edge_list_text(g)
         assert to_dot(g) == sorted_dot(g)
 
@@ -243,9 +253,9 @@ class TestComponents:
         G.add_nodes_from(range(g.n))
         G.add_edges_from(g.edges)
         roots = [min(nx.node_connected_component(G, v)) for v in range(g.n)]
-        upper = [tuple(vs) for vs in g.upper_neighbors()]
+        assert g._adjacency == sorted_adjacency(g)
         assert _components(g._adjacency) == roots
-        assert _components(upper) == roots
+        assert _components(g.up) == roots
         assert is_connected(g) == nx.is_connected(G)
 
     @settings(max_examples=120, deadline=None)

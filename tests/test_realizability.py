@@ -855,8 +855,9 @@ GRAPH_BUILDERS = {
 class TestOneCheckPerGraph:
     """Every graph the library returns passes _check_realization once, on
     the lists it is frozen from, and SimpleGraph's constructor check never
-    runs on it; the graph is still one that constructor accepts. The check
-    is spied on under the name the builder's own module imports."""
+    runs on it, nor is its edge set built; the graph is still one that
+    constructor accepts. The check is spied on under the name the builder's
+    own module imports."""
 
     @pytest.mark.parametrize("name", GRAPH_BUILDERS)
     def test_checked_once_and_frozen_unchecked(self, monkeypatch, name):
@@ -878,6 +879,7 @@ class TestOneCheckPerGraph:
         if name == "incomplete_star":
             g = g[1]
         assert calls == {"_check_realization": 1}
+        assert "edges" not in vars(g)  # the edge set is built only when read
         assert checked == [g.edges]
         monkeypatch.undo()
         h = SimpleGraph(g.n, g.edges)

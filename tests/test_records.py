@@ -1,4 +1,4 @@
-"""Behaviour of the ten immutable record classes.
+"""Behaviour of the nine immutable record classes.
 
 Each record is built by position and by keyword, compares equal by type and
 field values, hashes consistently, prints a fixed repr, refuses assignment
@@ -18,7 +18,6 @@ from degseq.maximal import MaximalSetReport
 from degseq.orders import BasicTransfer, DegreeSequence, LorenzCurve, TransferChain
 from degseq.realizability import (
     NonGraphicalWitness,
-    RealizationCertificate,
     ReductionTrace,
     TraceStep,
     Verdict,
@@ -83,13 +82,6 @@ CASES = [
         {"d": 1, "witness": S211},
         NonGraphicalWitness(0, S211),
         "NonGraphicalWitness(d=1, witness=DegreeSequence(2,1,1))",
-    ),
-    (
-        RealizationCertificate,
-        (3, ((0, 1), (1, 2))),
-        {"n": 3, "edges": ((0, 1), (1, 2))},
-        RealizationCertificate(3, ((0, 1),)),
-        "RealizationCertificate(n=3, edges=((0, 1), (1, 2)))",
     ),
     (
         Verdict,
@@ -260,10 +252,10 @@ def test_simple_graph_post_init_runs_on_every_construction(monkeypatch):
         STEP,
         TRACE,
         NonGraphicalWitness(1, S211),
-        RealizationCertificate(3, ((0, 1), (1, 2))),
+        SimpleGraph(3, frozenset({(0, 1), (1, 2)})),
         Verdict(S11, True, None, "hh", TRACE),
         Verdict(S211, False, False, "certificate", NonGraphicalWitness(1, S211)),
-        Verdict(S211, True, True, "eg", RealizationCertificate(3, ((0, 1), (0, 2)))),
+        Verdict(S211, True, True, "eg", SimpleGraph(3, frozenset({(0, 1), (0, 2)}))),
         Verdict(S11, True, None, "eg"),
         MaximalSetReport(3, 0, frozenset({S211}), frozenset({S211}), True),
     ],
@@ -271,3 +263,10 @@ def test_simple_graph_post_init_runs_on_every_construction(monkeypatch):
 )
 def test_dict_round_trip(record):
     assert type(record).from_dict(record.to_dict()) == record
+
+
+def test_graph_dict_is_the_realization_certificate():
+    g = SimpleGraph(4, frozenset({(2, 3), (0, 3), (0, 1)}))
+    assert g.to_dict() == {"kind": "realization", "n": 4, "edges": [[0, 1], [0, 3], [2, 3]]}
+    data = Verdict(DegreeSequence([2, 2, 1, 1]), True, True, "eg", g).to_dict()
+    assert Verdict.from_dict(data).certificate == g
