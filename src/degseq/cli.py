@@ -20,7 +20,6 @@ modules it runs when it starts, so building the parser loads none of them.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -95,10 +94,10 @@ def _cmd_check(args) -> int:
     seq = _parse_seq(orders, args, args.sequence)
     method = args.method
     certificate = trace = up = c_graphical = None
-    if args.connected:  # _realization runs the one is_c_graphical test
-        with contextlib.suppress(NotCGraphicalError):
-            up = realizability._realization(seq, True)
-        c_graphical = up is not None
+    if args.connected:  # one is_c_graphical test, and the realization only on a yes
+        c_graphical = realizability.is_c_graphical(seq)
+        if c_graphical:
+            up = realizability._built(seq, True)
     if c_graphical:  # implies graphical; the realization is printed, so no trace is built
         graphical = True
     elif method in ("hh", "constant"):  # the trace is printed from its runs

@@ -4,13 +4,13 @@ Vertices are dense integers 0..n-1, and a SimpleGraph never mutates. It
 stores one form: per vertex u, the ascending tuple of its neighbors v > u.
 Every graph the library builds is made as such lists, checked once by
 `_check_realization` and wrapped by `_freeze`; the constructor validates
-outside input and sorts it into them. The edge set and the full adjacency
-are built from them on first read, with no sort. Edges, renderings and
-union-find connectivity read them directly, so the CLI prints a
-realization's lists and builds no graph. Shortest paths come from a BFS
-that visits neighbors in ascending order, so outputs are reproducible; the
-rewirings in `realizability` edit one mutable adjacency, a list of
-ascending neighbor lists, with the package-internal helpers below.
+outside input and sorts it into them. Library code reads only `up`: degrees,
+edges, renderings, union-find connectivity and the rewirings' mutable copy
+(`_thaw`) are built from it with no sort and leave no cache on the graph;
+the full adjacency cached on first read serves only neighbors() and
+degree(). Shortest paths come from a BFS that visits neighbors in ascending
+order, so outputs are reproducible; the rewirings in `realizability` edit
+that mutable copy, ascending lists, with the package-internal helpers below.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ class SimpleGraph(Record):
     """n vertices 0..n-1 and up[u], the ascending tuple of u's neighbors v > u.
     The constructor checks a frozenset of normalized (u, v) edges, keeps it as
     `edges` (otherwise built on first read) and sorts it into up, which is
-    canonical: equality and hash read it, and repr and pickle (n, edges)."""
+    canonical: equality, hash and library code read it, and repr and pickle
+    (n, edges). The cached full adjacency backs only neighbors() and degree()."""
 
     __match_args__ = ("n", "edges")
-    __slots__ = ("n", "up", "__dict__")  # the dict caches edges and the full adjacency
+    __slots__ = ("n", "up", "__dict__")  # the dict caches edges and neighbors()'s adjacency
     n: int
     up: tuple[tuple[int, ...], ...]
 
@@ -73,14 +74,8 @@ class SimpleGraph(Record):
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The ascending neighbor lists, O(n + m) with no sort: u's smaller
-        neighbors, appended in order as they ran, then up[u]."""
-        adj: Adjacency = [[] for _ in range(self.n)]
-        for u, vs in enumerate(self.up):
-            adj[u] += vs
-            for v in vs:
-                adj[v].append(u)
-        return tuple(map(tuple, adj))
+        """The ascending neighbor tuples behind neighbors() and degree() only."""
+        return tuple(map(tuple, _thaw(self)))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
@@ -108,8 +103,8 @@ class SimpleGraph(Record):
 
 
 def degree_sequence(g: SimpleGraph) -> DegreeSequence:
-    """All vertex degrees, sorted non-increasingly."""
-    return DegreeSequence(map(len, g._adjacency))
+    """All vertex degrees, sorted non-increasingly, read off a _thaw(g)."""
+    return DegreeSequence(map(len, _thaw(g)))
 
 
 def is_connected(g: SimpleGraph) -> bool:
@@ -126,7 +121,13 @@ Adjacency = list[list[int]]
 
 
 def _thaw(g: SimpleGraph) -> Adjacency:
-    return [list(nbrs) for nbrs in g._adjacency]
+    """Fresh ascending full neighbor lists from g.up: O(n + m), no sort, no cache."""
+    adj: Adjacency = [[] for _ in range(g.n)]
+    for u, vs in enumerate(g.up):
+        adj[u] += vs  # after u's smaller neighbors, appended in order as they ran
+        for v in vs:
+            adj[v].append(u)
+    return adj
 
 
 def _check_realization(x: list[int], up: Adjacency) -> None:

@@ -262,33 +262,33 @@ class TransferChain(Record):
 def decompose_into_basic_transfers(x: DegreeSequence, y: DegreeSequence) -> TransferChain:
     """Write y as x plus a chain of unit transfers.
 
-    Requires equal totals and x <= y in the prefix-sum order; both inputs
-    are sorted first. A unit moved from rank j to rank i < j raises the
-    running totals at ranks i..j-1 by one, so the chain is a cover of the
-    deficit profile D(k) = prefix_y(k) - prefix_x(k) by intervals. One
-    sweep over D opens one interval per unit of ascent and closes the
-    latest open one per unit of descent; these are the level-set intervals
-    of D, a laminar family. The chain lists them in the order they open,
-    which is by start ascending, then by end descending: the order in
-    which repeatedly moving one unit from the first rank j > i with
-    D(j) = 0 to the first rank i with D(i) > 0 meets them. Every
-    intermediate stays sorted and sits between x and y in the order, and
-    the chain has the minimum possible number of unit transfers (the total
-    ascent of D). O(n + T) for T transfers.
+    Both inputs are sorted first; lengths, then totals must agree. A unit
+    moved from rank j to rank i < j raises the running totals at ranks
+    i..j-1 by one, so the chain is a cover of the deficit profile D(k) =
+    prefix_y(k) - prefix_x(k) by intervals. x <= y in the prefix-sum order
+    means D >= 0, so the one sweep over D raises NotMajorizedError at its
+    first negative value. It opens one interval per unit of ascent and
+    closes the latest open one per unit of descent: the level-set intervals
+    of D, a laminar family. The chain lists them in the order they open, by
+    start ascending, then by end descending: the order in which repeatedly
+    moving one unit from the first rank j > i with D(j) = 0 to the first
+    rank i with D(i) > 0 meets them. Every intermediate stays sorted and
+    sits between x and y in the order, and the chain has the minimum number
+    of unit transfers (the total ascent of D). O(n + T) for T transfers.
     """
     x, y = DegreeSequence(x), DegreeSequence(y)
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     if sum(x) != sum(y):
         raise SumMismatchError(f"totals differ: {sum(x)} vs {sum(y)}")
-    if not majorized(x, y):
-        raise NotMajorizedError(f"{format_sequence(x)} is not below {format_sequence(y)}")
     to_ranks: list[int] = []
     from_ranks: list[int] = []
     open_steps: list[int] = []  # chain positions of the open intervals
     prev = deficit = 0
     for rank, (vx, vy) in enumerate(zip(x, y), start=1):
         deficit += vy - vx
+        if deficit < 0:
+            raise NotMajorizedError(f"{format_sequence(x)} is not below {format_sequence(y)}")
         for _ in range(deficit - prev):
             open_steps.append(len(to_ranks))
             to_ranks.append(rank)

@@ -559,14 +559,19 @@ def _greedy(x: DegreeSequence) -> Adjacency:
 
 
 def _realization(x: DegreeSequence, connected: bool) -> Adjacency:
-    """Per vertex u, the ascending list of its neighbors v > u in realize(x),
-    checked by _check_realization and, with connected, for connectivity;
-    the error of realize, or with connected of realize_connected, when x
-    has no such realization."""
+    """_built(x, connected) once the one test passes: is_c_graphical with
+    connected, else Erdős–Gallai. Otherwise the error of realize, or with
+    connected of realize_connected, which formats the whole sequence."""
     if connected and not is_c_graphical(x):
         raise NotCGraphicalError(f"{format_sequence(x)} is not c-graphical")
     if not connected and not erdos_gallai(x):
         raise NotGraphicalError(f"{format_sequence(x)} is not graphical")
+    return _built(x, connected)
+
+
+def _built(x: DegreeSequence, connected: bool) -> Adjacency:
+    """realize(x) as its larger-neighbor lists, for an x that passed the test,
+    checked by _check_realization and, with connected, for connectivity."""
     up = _greedy(x)
     _check_realization(x, up)
     if connected and not _connected(up):
@@ -672,20 +677,20 @@ def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
 def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGraph:
     """Realize x from a realization of a dominating equal-sum sequence.
 
-    Decomposes x <= degree_sequence(g_prime) into unit transfers, then
-    undoes them on one mutable copy of the graph from the last to the
-    first, ranks sorted once and then kept by moving the two changed
-    vertices. Each step finds one shortest path (by binary search when it
-    has at most two edges, else by BFS) and runs an O(|path|) certificate
-    that it adds no component (see _inverse_transfer_step).
-    The result has degree sequence x and never more components than
-    g_prime, so it is connected whenever g_prime is; both are checked once
-    at the end, on the larger-neighbor halves of its full lists, against
-    those lists' lengths, so a one-sided edit fails, and then it is frozen.
+    Thaws g_prime once, from g_prime.up, into one mutable copy (nothing is
+    cached on g_prime) and decomposes x <= the copy's degrees into unit
+    transfers, then undoes them from the last to the first, ranks sorted
+    once and then kept by moving the two changed vertices. Each step finds
+    one shortest path (by binary search when it has at most two edges, else
+    by BFS) and runs an O(|path|) certificate that it adds no component (see
+    _inverse_transfer_step). The result has degree sequence x and never more
+    components than g_prime, so it is connected whenever g_prime is; both
+    are checked once at the end, on the larger-neighbor halves of its full
+    lists, against those lists' lengths, so a one-sided edit fails.
     """
     x = DegreeSequence(x)
-    chain = decompose_into_basic_transfers(x, degree_sequence(g_prime))
     adj = _thaw(g_prime)
+    chain = decompose_into_basic_transfers(x, DegreeSequence(map(len, adj)))
     order, keys = _ranks(adj)
     connected = _connected(adj)
     for t in reversed(chain.steps):

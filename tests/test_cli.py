@@ -558,7 +558,7 @@ class TestVerdictConsistency:
         def exhausted(*args):
             raise MemoryError
 
-        monkeypatch.setattr("degseq.realizability._realization", exhausted)
+        monkeypatch.setattr("degseq.realizability._built", exhausted)
         for argv in (["realize", "2,2,2"], ["check", "2,2,2", "--connected", "--json"]):
             assert run(capsys, *argv) == (3, "", "error: out of memory\n")
 
@@ -661,8 +661,9 @@ class TestOneVerdictPath:
         "literal, c_graphical", [("4,3,3,3,1", True), ("2,1,1,1,1", False), ("3,3,1,1", False)]
     )
     def test_connected_runs_one_c_graphical_test(self, check, monkeypatch, literal, c_graphical):
-        """`check --connected` runs is_c_graphical once, inside _realization,
-        on a yes, on a graphical no and on a non-graphical no."""
+        """`check --connected` runs is_c_graphical once, and builds the
+        realization only after it, on a yes, on a graphical no and on a
+        non-graphical no."""
         calls = []
         monkeypatch.setattr(
             "degseq.realizability.is_c_graphical", lambda x: calls.append(x) or is_c_graphical(x)
@@ -672,6 +673,17 @@ class TestOneVerdictPath:
             code, out, _ = check(literal, "--connected", *extra)
             assert code == (0 if c_graphical else 1) and len(calls) == 1
             assert ("c-graphical: yes" in out or '"c_graphical": true' in out) is c_graphical
+
+    def test_connected_no_formats_no_error_message(self, check, monkeypatch):
+        """A "no" of `check --connected` raises no NotCGraphicalError, so the
+        library never formats the sequence into a message it would discard."""
+
+        def forbidden(seq):
+            raise AssertionError("formatted the sequence into an error message")
+
+        monkeypatch.setattr("degseq.realizability.format_sequence", forbidden)
+        code, out, _ = check("1,1,1,1", "--connected", "--json")
+        assert code == 1 and json.loads(out)["c_graphical"] is False
 
     @pytest.mark.parametrize("method", ["hh", "constant"])
     def test_trace_builds_no_sequence_per_step(self, check, monkeypatch, method):

@@ -13,13 +13,20 @@ from degseq.graphs import (
     SimpleGraph,
     _components,
     _path,
+    _thaw,
     degree_sequence,
     is_connected,
     to_dot,
     to_edge_list_text,
 )
 from degseq.orders import DegreeSequence
-from degseq.realizability import is_c_graphical, realize, realize_connected
+from degseq.realizability import (
+    apply_inverse_transfer,
+    is_c_graphical,
+    realize,
+    realize_connected,
+    realize_via_domination,
+)
 from legacy_reference import EdgeMissingError, add_edge, bfs_path, find_path, remove_edge
 
 
@@ -44,6 +51,34 @@ class TestDegreeSequence:
     @given(small_graphs())
     def test_handshake(self, g):
         assert sum(degree_sequence(g)) == 2 * len(g.edges)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda g, x: degree_sequence(g),
+            lambda g, x: is_connected(g),
+            lambda g, x: to_edge_list_text(g),
+            lambda g, x: to_dot(g),
+            lambda g, x: realize_via_domination(x, g),
+            lambda g, x: apply_inverse_transfer(g, 1, g.n),
+        ],
+        ids=["degree_sequence", "is_connected", "edge_list", "dot", "via_domination", "inverse"],
+    )
+    @pytest.mark.parametrize(
+        "build, x",
+        [
+            (lambda: SimpleGraph(5, frozenset({(0, 1), (0, 2), (0, 3), (1, 2)})), (2, 2, 2, 1, 1)),
+            (lambda: realize([3, 2, 2, 2, 1]), (2, 2, 2, 2, 2)),
+        ],
+        ids=["constructed", "realized"],
+    )
+    def test_library_reads_leave_the_graph_as_found(self, read, build, x):
+        """Library code reads g.up, so no call caches anything on g; x is
+        dominated by g's degrees."""
+        g = build()
+        before = dict(vars(g))
+        read(g, DegreeSequence(x))
+        assert vars(g) == before
 
 
 class TestConnectivity:
@@ -199,13 +234,19 @@ def realizations(seq):
 
 class TestSortedEdges:
     """sorted_edges, read off the stored upper neighbor lists g.up, equals
-    the tuple sort, the full adjacency built from g.up with no sort equals
-    a sort of the edge set's, and the text formats are unchanged."""
+    the tuple sort, the full adjacency built from g.up with no sort, cached
+    or thawed as fresh lists, equals a sort of the edge set's, and the text
+    formats are unchanged."""
 
     @staticmethod
     def assert_unchanged(g):
         assert g.sorted_edges() == sorted(g.edges)
         adj = sorted_adjacency(g)
+        thawed = _thaw(g)
+        assert thawed == list(map(list, adj))
+        for nbrs in thawed:  # the lists are g's to lend, not its own
+            nbrs.append(g.n)
+        assert _thaw(g) == list(map(list, adj))
         assert g._adjacency == adj
         assert g.up == tuple(tuple(v for v in nbrs if v > u) for u, nbrs in enumerate(adj))
         assert to_edge_list_text(g) == sorted_edge_list_text(g)

@@ -28,6 +28,7 @@ import json
 import pickle
 import random
 import sys
+from collections import Counter
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -131,6 +132,25 @@ def test_decompose_every_dominated_pair_up_to_7():
                         assert chain == legacy.decompose_into_basic_transfers(x, y), (x, y)
                         pairs += 1
     assert pairs == 50772
+
+
+def test_decompose_every_pair_up_to_5_against_the_checks_in_order():
+    """Every ordered pair of non-increasing sequences of lengths 1..5 with
+    entries <= 4, unequal lengths and totals included: the same chain, or the
+    same error type and message, as the reference, which checks the length,
+    then the total, then majorization before it builds anything."""
+    seqs = [s for n in range(1, 6) for s in nonincreasing(n, 4)]
+    results = Counter()
+    for x, y in itertools.product(seqs, repeat=2):
+        result = outcome(decompose_into_basic_transfers, x, y)
+        assert result == outcome(legacy.decompose_into_basic_transfers, x, y), (x, y)
+        results[result[0] if result[0] == "ok" else result[1].__name__] += 1
+    assert results == {
+        "LengthMismatchError": 40750,
+        "SumMismatchError": 20638,
+        "NotMajorizedError": 732,
+        "ok": 881,
+    }
 
 
 def test_realize_via_domination_from_the_star_up_to_7():
