@@ -19,8 +19,8 @@ from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import chain
-from operator import lt
+from itertools import chain, pairwise
+from operator import eq, lt
 
 from .errors import EdgeExistsError, InternalInconsistencyError, SelfLoopError
 from .orders import DegreeSequence
@@ -52,8 +52,11 @@ class SimpleGraph(Record):
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range or unnormalized")
             up[u].append(v)
-        for vs in up:
+        for u, vs in enumerate(up):
             vs.sort()
+            if any(map(eq, vs, vs[1:])):  # a list of edges that repeats a pair
+                v = next(a for a, b in pairwise(vs) if a == b)
+                raise EdgeExistsError(f"duplicate edge {(u, v)}")
         object.__setattr__(self, "up", tuple(map(tuple, up)))
 
     @classmethod
@@ -103,8 +106,8 @@ class SimpleGraph(Record):
 
 
 def degree_sequence(g: SimpleGraph) -> DegreeSequence:
-    """All vertex degrees, sorted non-increasingly, read off a _thaw(g)."""
-    return DegreeSequence(map(len, _thaw(g)))
+    """All vertex degrees, sorted non-increasingly, counted off g.up."""
+    return DegreeSequence(_degrees(g.up))
 
 
 def is_connected(g: SimpleGraph) -> bool:
@@ -130,6 +133,14 @@ def _thaw(g: SimpleGraph) -> Adjacency:
     return adj
 
 
+def _degrees(up) -> list[int]:
+    """Degree per vertex from larger-neighbor lists: O(n + m), no list per vertex."""
+    degrees = list(map(len, up))  # the neighbors above each vertex, then those below
+    for v in chain.from_iterable(up):
+        degrees[v] += 1
+    return degrees
+
+
 def _check_realization(x: list[int], up: Adjacency) -> None:
     """Raise InternalInconsistencyError unless the lists up describe a simple
     graph in which vertex v has degree x[v]: up[u] strictly ascending, above
@@ -141,10 +152,7 @@ def _check_realization(x: list[int], up: Adjacency) -> None:
             raise InternalInconsistencyError(
                 f"the neighbors above vertex {u} are not strictly ascending in {u + 1}..{n - 1}"
             )
-    degrees = list(map(len, up))  # the neighbors above each vertex, then those below
-    for v in chain.from_iterable(up):
-        degrees[v] += 1
-    if degrees != list(x):
+    if _degrees(up) != list(x):
         raise InternalInconsistencyError("the realization has the wrong degrees")
 
 

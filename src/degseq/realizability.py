@@ -605,26 +605,10 @@ def realize_connected(x: DegreeSequence) -> SimpleGraph:
 # -- order-driven rewiring ---------------------------------------------------
 
 
-def _ranks(adj: Adjacency) -> tuple[list[int], list[int]]:
-    """Rank order (descending degree, then index) and its negated degrees."""
-    order = sorted(range(len(adj)), key=lambda v: -len(adj[v]))
-    return order, [-len(adj[v]) for v in order]
-
-
-def _rerank(order: list[int], keys: list[int], r: int, d: int) -> None:
-    """Move the rank-(r+1) vertex, now of degree d, into d's block by vertex index."""
-    v = order.pop(r)
-    del keys[r]
-    lo = bisect_left(keys, -d)
-    slot = bisect_left(order, v, lo, bisect_right(keys, -d, lo))
-    order.insert(slot, v)
-    keys.insert(slot, -d)
-
-
-def _inverse_transfer_step(adj: Adjacency, order, keys, i: int, j: int) -> None:
-    """Undo the unit transfer from rank j to rank i < j on adj and its _ranks
-    state, in place: move {vi, k} to {vj, k}, k the smallest neighbor of vi
-    outside N[vj] and off the shortest vi-vj path P (() if there is none).
+def _inverse_transfer_step(adj: Adjacency, vi: int, vj: int) -> None:
+    """Shift one degree unit from vi to vj, deg vi >= deg vj + 2, in place:
+    the edge {vi, k} becomes {vj, k}, k the smallest neighbor of vi outside
+    N[vj] and off the shortest vi-vj path P (() if there is none).
 
     k exists: deg vi >= deg vj + 2 leaves two neighbors of vi outside
     N[vj], and P holds one neighbor of vi, P[1]. The edit adds no
@@ -634,21 +618,17 @@ def _inverse_transfer_step(adj: Adjacency, order, keys, i: int, j: int) -> None:
     P). With no P, removing {vi, k} splits off at most the part holding k,
     and {vj, k} joins that part to vj's component.
     """
-    vi, vj = order[i - 1], order[j - 1]
     path = _path(adj, vi, vj)
     excluded = {*path, *adj[vj]}
     pivot = next((k for k in adj[vi] if k not in excluded), None)
     if pivot is None:
         raise InternalInconsistencyError(
-            f"no rewiring pivot for ranks {i},{j}; this contradicts the existence argument"
+            f"no rewiring pivot for vertices {vi},{vj}; this contradicts the existence argument"
         )
     _unlink(adj, vi, pivot)
     _link(adj, vj, pivot)
     if pivot not in adj[vj] or any(b not in adj[a] for a, b in pairwise(path)):
         raise InternalInconsistencyError("rewired graph lost connectivity")
-    new_i, new_j = -keys[i - 1] - 1, -keys[j - 1] + 1
-    _rerank(order, keys, j - 1, new_j)
-    _rerank(order, keys, i - 1, new_i)
 
 
 def apply_inverse_transfer(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
@@ -678,23 +658,34 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
     """Realize x from a realization of a dominating equal-sum sequence.
 
     Thaws g_prime once, from g_prime.up, into one mutable copy (nothing is
-    cached on g_prime) and decomposes x <= the copy's degrees into unit
-    transfers, then undoes them from the last to the first, ranks sorted
-    once and then kept by moving the two changed vertices. Each step finds
-    one shortest path (by binary search when it has at most two edges, else
-    by BFS) and runs an O(|path|) certificate that it adds no component (see
-    _inverse_transfer_step). The result has degree sequence x and never more
-    components than g_prime, so it is connected whenever g_prime is; both
-    are checked once at the end, on the larger-neighbor halves of its full
+    cached on g_prime), decomposes x <= its degrees into unit transfers and
+    sorts the vertices once, by descending degree and then index. Undoing
+    the transfers from the last to the first, the one to rank i from rank j
+    moves a unit from vi = order[i-1] to vj = order[j-1]. The degrees along
+    order are always the chain's current sequence z, sorted before and after
+    each step, so deg vi >= deg vj + 2; and vi, vj are the vertices that
+    re-sorting by (descending degree, index) after every step would pick.
+    Reversed, the chain takes the largest start i left and, for it, the
+    smallest end j: z_i > x_i, z_k = x_k for i < k < j, and z_j < x_j, and
+    only ranks >= i have changed, each monotonically toward x. So the
+    giver's degree class [a, i] is untouched, in the host's order by index,
+    or {i} alone once vi has given: vi has its largest index. The
+    receiver's class [j, b] has no changed rank after j, or is {j} alone
+    once vj has received: vj has its smallest index.
+
+    Each step runs one shortest-path search and an O(|path|) certificate
+    that it adds no component (see _inverse_transfer_step). The result has
+    degree sequence x and never more components than g_prime; both are
+    checked once at the end, on the larger-neighbor halves of its full
     lists, against those lists' lengths, so a one-sided edit fails.
     """
     x = DegreeSequence(x)
     adj = _thaw(g_prime)
     chain = decompose_into_basic_transfers(x, DegreeSequence(map(len, adj)))
-    order, keys = _ranks(adj)
+    order = sorted(range(len(adj)), key=lambda v: -len(adj[v]))
     connected = _connected(adj)
     for t in reversed(chain.steps):
-        _inverse_transfer_step(adj, order, keys, t.to_rank, t.from_rank)
+        _inverse_transfer_step(adj, order[t.to_rank - 1], order[t.from_rank - 1])
     if DegreeSequence(map(len, adj)) != x:
         raise InternalInconsistencyError("domination pipeline produced wrong degrees")
     up = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(adj)]

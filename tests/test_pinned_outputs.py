@@ -266,15 +266,30 @@ def test_decompose_matches_on_random_pairs(pair):
     assert decompose_into_basic_transfers(x, y) == legacy.decompose_into_basic_transfers(x, y)
 
 
+@st.composite
+def shuffled_hub_fills(draw, max_n=60):
+    """Hub-fill graphs with their labels shuffled: large classes of tied
+    degrees, spread over the vertex indices."""
+    n = draw(st.integers(2, max_n))
+    g = build_hub_fill(n, draw(st.integers(0, max_added_edges(n))))
+    label = draw(st.permutations(range(n)))
+    return SimpleGraph.from_edges(n, [(label[u], label[v]) for u, v in g.sorted_edges()])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_realize_via_domination_matches_on_random_graphs(data):
     """Connected hosts against the first rewiring code, disconnected ones
-    against the rule written plainly: the first code used no path there."""
+    against the rule written plainly: the first code used no path there.
+    Then a shuffled hub-fill host against the rule written plainly, which
+    re-sorts the vertices after every step while the library sorts once."""
     g = data.draw(random_graphs())
     x = robin_hood(data.draw, degree_sequence(g))
     reference = legacy.realize_via_domination if is_connected(g) else legacy.rewiring_reference
     assert outcome(realize_via_domination, x, g) == outcome(reference, x, g)
+    h = data.draw(shuffled_hub_fills())
+    x = robin_hood(data.draw, degree_sequence(h))
+    assert outcome(realize_via_domination, x, h) == outcome(legacy.rewiring_reference, x, h)
 
 
 def test_realize_4_regular_20000():

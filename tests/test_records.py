@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from degseq.errors import SelfLoopError
+from degseq.errors import EdgeExistsError, SelfLoopError
 from degseq.graphs import SimpleGraph
 from degseq.maximal import MaximalSetReport
 from degseq.orders import BasicTransfer, DegreeSequence, LorenzCurve, TransferChain
@@ -227,6 +227,11 @@ def test_simple_graph_validation():
         SimpleGraph(3, frozenset({(1, 3)}))
     with pytest.raises(ValueError, match="outside vertex range or unnormalized"):
         SimpleGraph(3, frozenset({(2, 1)}))
+    # a list of edges may repeat a pair, which would make a multigraph
+    with pytest.raises(EdgeExistsError, match=r"duplicate edge \(0, 1\)"):
+        SimpleGraph(3, [(0, 1), (0, 1)])
+    with pytest.raises(EdgeExistsError, match=r"duplicate edge \(1, 2\)"):
+        SimpleGraph(3, [(1, 2), (0, 1), (1, 2), (0, 2)])
 
 
 def test_simple_graph_post_init_runs_on_every_construction(monkeypatch):
