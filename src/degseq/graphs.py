@@ -2,15 +2,12 @@
 
 Vertices are dense integers 0..n-1, and a SimpleGraph never mutates. It
 stores one form: per vertex u, the ascending tuple of its neighbors v > u.
-Every graph the library builds is made as such lists, checked once by
-`_check_realization` and wrapped by `_freeze`; the constructor validates
-outside input and sorts it into them. Library code reads only `up`: degrees,
-edges, renderings, union-find connectivity and the rewirings' mutable copy
-(`_thaw`) are built from it with no sort and leave no cache on the graph;
-the full adjacency cached on first read serves only neighbors() and
-degree(). Shortest paths come from a BFS that visits neighbors in ascending
-order, so outputs are reproducible; the rewirings in `realizability` edit
-that mutable copy, ascending lists, with the package-internal helpers below.
+The constructor is the one validator of outside edges. Every graph the
+library builds is made as such lists, checked once by `_check_realization`
+and wrapped by `_freeze`. Library code reads only `up`: degrees, edges,
+renderings, union-find components and the rewirings' mutable copy (`_thaw`)
+are built from it with no sort and leave no cache on the graph. BFS visits
+neighbors in ascending order, so shortest paths are reproducible.
 """
 
 from __future__ import annotations
@@ -32,10 +29,11 @@ VertexPath = tuple[int, ...]
 
 class SimpleGraph(Record):
     """n vertices 0..n-1 and up[u], the ascending tuple of u's neighbors v > u.
-    The constructor checks a frozenset of normalized (u, v) edges, keeps it as
-    `edges` (otherwise built on first read) and sorts it into up, which is
-    canonical: equality, hash and library code read it, and repr and pickle
-    (n, edges). The cached full adjacency backs only neighbors() and degree()."""
+    The constructor takes normalized (u, v) edges in any iterable, rejects a
+    self-loop, a pair out of range and a repeated pair, sorts them into up and
+    keeps nothing else. up is canonical: equality, hash and library code read
+    it. `edges`, the frozenset that repr and pickle show, is built from up on
+    first read. The cached full adjacency backs only neighbors() and degree()."""
 
     __match_args__ = ("n", "edges")
     __slots__ = ("n", "up", "__dict__")  # the dict caches edges and neighbors()'s adjacency
@@ -58,18 +56,12 @@ class SimpleGraph(Record):
                 v = next(a for a, b in pairwise(vs) if a == b)
                 raise EdgeExistsError(f"duplicate edge {(u, v)}")
         object.__setattr__(self, "up", tuple(map(tuple, up)))
+        del self.__dict__["edges"]  # rebuilt from up when read
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        normed = set()
-        for u, v in pairs:
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in normed:
-                raise EdgeExistsError(f"duplicate edge {e}")
-            normed.add(e)
-        return cls(n=n, edges=frozenset(normed))
+        """The graph of unordered pairs, each normalized to (min, max)."""
+        return cls(n, [(u, v) if u < v else (v, u) for u, v in pairs])
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -112,7 +104,7 @@ def degree_sequence(g: SimpleGraph) -> DegreeSequence:
 
 def is_connected(g: SimpleGraph) -> bool:
     """One component; a single vertex counts as connected."""
-    return _connected(g.up)
+    return not any(_components(g.up))
 
 
 # -- mutable adjacency (package-internal) ------------------------------------
@@ -198,10 +190,6 @@ def _components(adj) -> list[int]:
     for v in range(n):  # a parent below v already points at its root
         parent[v] = parent[parent[v]]
     return parent
-
-
-def _connected(adj) -> bool:
-    return not any(_components(adj))
 
 
 def _path(adj, i: int, j: int) -> VertexPath:

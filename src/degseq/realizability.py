@@ -38,7 +38,7 @@ from .graphs import (
     Adjacency,
     SimpleGraph,
     _check_realization,
-    _connected,
+    _components,
     _freeze,
     _link,
     _path,
@@ -574,7 +574,7 @@ def _built(x: DegreeSequence, connected: bool) -> Adjacency:
     checked by _check_realization and, with connected, for connectivity."""
     up = _greedy(x)
     _check_realization(x, up)
-    if connected and not _connected(up):
+    if connected and any(_components(up)):
         raise InternalInconsistencyError("the greedy realization is disconnected")
     return up
 
@@ -658,38 +658,43 @@ def realize_via_domination(x: DegreeSequence, g_prime: SimpleGraph) -> SimpleGra
     """Realize x from a realization of a dominating equal-sum sequence.
 
     Thaws g_prime once, from g_prime.up, into one mutable copy (nothing is
-    cached on g_prime), decomposes x <= its degrees into unit transfers and
-    sorts the vertices once, by descending degree and then index. Undoing
-    the transfers from the last to the first, the one to rank i from rank j
-    moves a unit from vi = order[i-1] to vj = order[j-1]. The degrees along
-    order are always the chain's current sequence z, sorted before and after
-    each step, so deg vi >= deg vj + 2; and vi, vj are the vertices that
-    re-sorting by (descending degree, index) after every step would pick.
-    Reversed, the chain takes the largest start i left and, for it, the
-    smallest end j: z_i > x_i, z_k = x_k for i < k < j, and z_j < x_j, and
-    only ranks >= i have changed, each monotonically toward x. So the
-    giver's degree class [a, i] is untouched, in the host's order by index,
-    or {i} alone once vi has given: vi has its largest index. The
+    cached on g_prime), sorts its vertices once, by descending degree and
+    then index, and decomposes x <= the degrees along that order into unit
+    transfers. Undoing them from the last to the first, the one to rank i
+    from rank j moves a unit from vi = order[i-1] to vj = order[j-1]. The
+    degrees along order are always the chain's current sequence z, sorted
+    before and after each step, so deg vi >= deg vj + 2; and vi, vj are the
+    vertices that re-sorting by (descending degree, index) after every step
+    would pick. Reversed, the chain takes the largest start i left and, for
+    it, the smallest end j: z_i > x_i, z_k = x_k for i < k < j, and z_j <
+    x_j, and only ranks >= i have changed, each monotonically toward x. So
+    the giver's degree class [a, i] is untouched, in the host's order by
+    index, or {i} alone once vi has given: vi has its largest index. The
     receiver's class [j, b] has no changed rank after j, or is {j} alone
     once vj has received: vj has its smallest index.
 
     Each step runs one shortest-path search and an O(|path|) certificate
-    that it adds no component (see _inverse_transfer_step). The result has
-    degree sequence x and never more components than g_prime; both are
-    checked once at the end, on the larger-neighbor halves of its full
-    lists, against those lists' lengths, so a one-sided edit fails.
+    that it adds no component (see _inverse_transfer_step). At the end,
+    vertex order[r] must have degree x[r]: the full lists' lengths and the
+    larger-neighbor halves frozen from them are checked against that, vertex
+    by vertex, so a one-sided edit fails. The result, connected or not, may
+    not have more components than g_prime.
     """
     x = DegreeSequence(x)
     adj = _thaw(g_prime)
-    chain = decompose_into_basic_transfers(x, DegreeSequence(map(len, adj)))
     order = sorted(range(len(adj)), key=lambda v: -len(adj[v]))
-    connected = _connected(adj)
+    start = DegreeSequence._from_sorted([len(adj[v]) for v in order])
+    chain = decompose_into_basic_transfers(x, start)
+    components = len(set(_components(adj)))
     for t in reversed(chain.steps):
         _inverse_transfer_step(adj, order[t.to_rank - 1], order[t.from_rank - 1])
-    if DegreeSequence(map(len, adj)) != x:
+    want = [0] * len(adj)
+    for v, d in zip(order, x):
+        want[v] = d
+    if list(map(len, adj)) != want:
         raise InternalInconsistencyError("domination pipeline produced wrong degrees")
     up = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(adj)]
-    _check_realization(list(map(len, adj)), up)
-    if connected and not _connected(up):
+    _check_realization(want, up)
+    if len(set(_components(up))) > components:
         raise InternalInconsistencyError("rewired graph lost connectivity")
     return _freeze(up)

@@ -61,7 +61,7 @@ from degseq.errors import (
 from degseq.graphs import (
     SimpleGraph,
     VertexPath,
-    _connected,
+    _components,
     _path,
     degree_sequence,
     is_connected,
@@ -521,7 +521,7 @@ def sequences_by_graphs(n: int, d: int) -> frozenset[DegreeSequence]:
         # the pairs (k, i) with k < i are decided; pick i's later neighbours
         if i == n - 1:
             key = tuple(deg)
-            if left == 0 and deg[i] and key not in confirmed and _connected(above):
+            if left == 0 and deg[i] and key not in confirmed and not any(_components(above)):
                 confirmed.add(key)
             return
         later = range(i + 1, n)

@@ -696,6 +696,16 @@ class TestRealizeViaDomination:
         assert h.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)}  # the path 5-0-1-2-3-4
         assert components(h) == components(g) == 2
 
+    def test_a_split_disconnected_host_is_caught(self, monkeypatch):
+        # with no path seen, the pivot of the move from vertex 0 to vertex 4
+        # is 1, and moving the edge 0-1 to 4-1 cuts 0, 5 and 6 off: three
+        # components from a host of two, the broom and the isolated vertex 7
+        g = SimpleGraph.from_edges(8, broom().edges)
+        assert components(g) == 2
+        monkeypatch.setattr(realizability, "_path", lambda adj, i, j: ())
+        with pytest.raises(InternalInconsistencyError, match="rewired graph lost connectivity"):
+            apply_inverse_transfer(g, 1, 5)
+
     def test_4000_vertices_and_an_isolated_vertex(self):
         g, x = tree_plus_isolated_vertex(4000, seed=1)
         assert components(g) == 2 and x[-1] == 0 and x != degree_sequence(g)
@@ -821,7 +831,7 @@ class TestRewiringCertificate:
         assert len(hits) > 1
 
     def test_no_whole_graph_pass_per_step_when_connected(self, monkeypatch):
-        calls = {"_connected": 0}
+        calls = {"_components": 0}
 
         def counted(name):
             real = getattr(realizability, name)
@@ -837,7 +847,7 @@ class TestRewiringCertificate:
         chain = decompose_into_basic_transfers(PATH_SEQUENCE, degree_sequence(star(12)))
         assert len(chain.steps) == 9
         realize_via_domination(PATH_SEQUENCE, star(12))
-        assert calls == {"_connected": 2}  # before the chain and after it
+        assert calls == {"_components": 2}  # before the chain and after it
 
 
 # each builder with inputs made here, so that building them runs no spied code

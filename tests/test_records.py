@@ -234,6 +234,29 @@ def test_simple_graph_validation():
         SimpleGraph(3, [(1, 2), (0, 1), (1, 2), (0, 2)])
 
 
+def test_simple_graph_keeps_no_edges_argument():
+    g = SimpleGraph(3, [(1, 2), (0, 1)])
+    assert "edges" not in vars(g)  # rebuilt from up when read
+    assert g.edges == frozenset({(0, 1), (1, 2)}) and type(g.edges) is frozenset
+    assert repr(g) == "SimpleGraph(n=3, edges=frozenset({(0, 1), (1, 2)}))"
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+@pytest.mark.parametrize(
+    "pairs, error, message",
+    [
+        ([(0, 1), (1, 0)], EdgeExistsError, r"^duplicate edge \(0, 1\)$"),
+        ([(1, 1)], SelfLoopError, r"^self-loop at vertex 1$"),
+        ([(0, 3)], ValueError, r"^edge \(0,3\) outside vertex range or unnormalized$"),
+    ],
+    ids=["repeat", "self-loop", "range"],
+)
+def test_from_edges_single_fault(pairs, error, message):
+    """from_edges normalizes the pairs and leaves every check to the constructor."""
+    with pytest.raises(error, match=message):
+        SimpleGraph.from_edges(3, pairs)
+
+
 def test_simple_graph_post_init_runs_on_every_construction(monkeypatch):
     seen = []
     post_init = SimpleGraph.__dict__["__post_init__"]
