@@ -103,7 +103,7 @@ def _cmd_check(args) -> int:
     elif method in ("hh", "constant"):  # the trace is printed from its runs
         budget = max(TRACE_BUDGET, args.max_trace or 0)
         constant = method == "constant"
-        trace = realizability._reduction(seq, constant, min(budget, TRACE_KEPT))
+        trace = realizability._reduction(seq, constant, TRACE_KEPT)
         graphical, printed = trace.graphical, trace.printed
         if printed > budget:
             raise OutOfRangeError(

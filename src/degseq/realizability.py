@@ -230,56 +230,36 @@ def _outcome(x: DegreeSequence, constant: bool, h: int, last: int, n: int) -> tu
     return True, f"constant a={h}, N*a={n * h} even, a<={n - 1}"
 
 
-# (values, counts, ends): values strictly decreasing, counts positive, and
-# ends[k] the position after run k, counted from where the first step began
-Runs = tuple[list[int], list[int], list[int]]
-
-
-def _runs(x: DegreeSequence) -> Runs:
-    """The runs of equal values of x, counted in one C-level pass."""
-    counts = Counter(x)  # keeps first-seen order, which is decreasing
-    return list(counts), list(counts.values()), list(accumulate(counts.values()))
-
-
-def _insert(runs: Runs, u: int) -> None:  # one more entry u, in place
-    values, counts, ends = runs
-    p = bisect_left(values, -u, key=neg)
-    if p < len(values) and values[p] == u:
-        counts[p] += 1
-    else:
-        ends.insert(p, ends[p - 1] if p else ends[0] - counts[0])
-        values.insert(p, u)
-        counts.insert(p, 1)
-    ends[p:] = [e + 1 for e in ends[p:]]
-
-
 _Reduction = namedtuple("_Reduction", "graphical outcome states rules printed")
 
 
 def _reduction(x: DegreeSequence, constant: bool, keep: float = float("inf")) -> _Reduction:
-    """The head reduction of x, or with constant the reduce-to-constant one,
-    on runs, for `check` and havel_hakimi. states[i] is the chain's i-th
-    sequence as its values and counts and rules[i] the rule to states[i + 1];
-    both are emptied once printed, the integers of every step's before and
-    after, exceeds keep.
+    """The head reduction of x, or with constant the reduce-to-constant one, on
+    runs of equal values, for `check` and havel_hakimi. states[i] is the
+    chain's i-th sequence as a (values, counts) pair and rules[i] the rule to
+    states[i + 1]; both are emptied once printed, the integers of every step's
+    before and after, exceeds keep.
 
-    One (values, counts, ends) triple is edited in place, and a state is
-    copied only when it is kept, so keep=0 holds O(r) memory for r distinct
-    values. A step takes the head out and subtracts one from the links
+    values (strictly decreasing), counts and ends (ends[k] is the position
+    after run k, counted from where the first step began) are edited in place,
+    and a state is copied only when kept, so keep=0 holds O(r) memory for r
+    distinct values. A step takes the head out and subtracts one from the links
     largest remaining entries. The run of the last lowered value v is split,
     its unlowered part first (the same multiset as lowering its rightmost
-    copies); only that part and the run below can meet an equal neighbour.
-    A step costs one binary search, O(r) C-level list work and one
-    comprehension over the lowered runs. When a lowered entry would be
-    zero it stops with only the head taken out, so the outcome still reads
-    the last value from before the step.
+    copies); only that part and the run below can meet an equal neighbour. A
+    step costs one binary search, O(r) C-level list work and one comprehension
+    over the lowered runs. When a lowered entry would be zero it stops with
+    only the head taken out, so the outcome still reads the last value from
+    before the step. A constant step's head h makes h - last links and then
+    rejoins the last run, of value last, which no step removes.
     """
-    runs, n = _runs(x), len(x)
-    values, counts, ends = runs
+    runs = Counter(x)  # keeps first-seen order, which is decreasing
+    values, counts, n = list(runs), list(runs.values()), len(x)
+    ends = list(accumulate(counts))
     states, rules, printed = [(values[:], counts[:])], [], 0
     # step while the head fits and the sequence is not yet constant (constant) or all zero (hh)
-    while (h := values[0]) <= n - 1 and (values[-1] < h if constant else h > 0):
-        links = min(h - values[-1], n - 1) if constant else h
+    while (h := values[0]) <= n - 1 and ((last := values[-1]) < h if constant else h > 0):
+        links = h - last if constant else h
         if counts[0] > 1:  # take the head out; the last run stays (n >= 2 entries)
             counts[0] -= 1
         else:
@@ -306,8 +286,11 @@ def _reduction(x: DegreeSequence, constant: bool, keep: float = float("inf")) ->
             counts[i] += counts[i + 1]
             ends[i] = ends[i + 1]
             del values[i + 1], counts[i + 1], ends[i + 1]
-        if constant:
-            _insert(runs, h - links)
+        if constant:  # h <= n - 1 leaves >= last entries unlowered, and lowering a zero breaks
+            # first: the run of last survives, and only its lowered part (last - 1) can follow it
+            k = -1 if values[-1] == last else -2
+            counts[k] += 1
+            ends[k:] = [e + 1 for e in ends[k:]]
         printed += 2 * n - (not constant)
         if printed <= keep:
             states.append((values[:], counts[:]))
@@ -321,13 +304,13 @@ def _reduction(x: DegreeSequence, constant: bool, keep: float = float("inf")) ->
 
 def _rendered_steps(states: list, rules: list[str], sep: str):
     """Yield (before, rule, after) per step of a _reduction chain, each
-    sequence rendered once from its values and counts, entries joined by
+    sequence rendered once from its (values, counts) pair, entries joined by
     sep. A chain with a step starts with a head below its length and no
     step raises an entry, so the table of entry texts stays that short."""
     if not rules:
         return
     texts = [sep + str(v) for v in range(states[0][0][0] + 1)].__getitem__
-    rendered = ("".join(map(mul, map(texts, v), c))[len(sep) :] for v, c, *_ in states)
+    rendered = ("".join(map(mul, map(texts, v), c))[len(sep) :] for v, c in states)
     for (before, after), rule in zip(pairwise(rendered), rules):
         yield before, rule, after
 
@@ -408,10 +391,10 @@ def generalized_reduce(x: DegreeSequence, k: int, n_links: int) -> DegreeSequenc
 
 def _trace(x: DegreeSequence, constant: bool) -> tuple[bool, ReductionTrace]:
     """The head reduction chain of x (hh_reduce), or with constant the
-    reduce-to-constant one (generalized_reduce at rank 1), every step kept."""
+    reduce-to-constant one (generalized_reduce(cur, 1, h - x_N)), every step kept."""
     steps, cur = [], x
     while (h := cur[0]) <= len(cur) - 1 and (cur[-1] < h if constant else h > 0):
-        links = min(h - cur[-1], len(cur) - 1) if constant else h
+        links = h - cur[-1] if constant else h
         try:
             after = generalized_reduce(cur, 1, links) if constant else hh_reduce(cur)
         except UnderflowError:
@@ -431,9 +414,9 @@ def havel_hakimi_trace(x: DegreeSequence) -> tuple[bool, ReductionTrace]:
 def reduce_to_constant(x: DegreeSequence) -> Verdict:
     """Drive the sequence to a constant with generalized head reductions.
 
-    Each step reduces rank 1 by n = min(x_1 - x_N, N-1); a constant block
-    (a,...,a) of length N is graphical iff a <= N-1 and N*a is even, which
-    often ends the run in far fewer steps than the head reduction chain.
+    Each step reduces rank 1 by n = x_1 - x_N, at most N-1 since steps run
+    only while x_1 <= N-1. A constant block (a,...,a) of length N is graphical
+    iff a <= N-1 and N*a is even, often far sooner than the head reduction.
 
     All rejections (oversized head, underflow, odd N*a) are sound
     certificates of non-graphicality, and every graphical input is

@@ -33,7 +33,6 @@ from degseq.realizability import (
     Verdict,
     _reduction,
     _rendered_steps,
-    _runs,
     erdos_gallai,
     havel_hakimi_trace,
     is_c_graphical,
@@ -431,6 +430,11 @@ class TestLorenz:
         assert out.splitlines()[0] == "x,y"
         assert out.splitlines()[1] == "0/1,0/1"
 
+    def test_nonnormalized_csv(self, capsys):
+        code, out, _ = run(capsys, "lorenz", "3,2,1", "--nonnormalized", "--csv")
+        assert code == 0
+        assert out == "x,y\n0,0\n1,3\n2,5\n3,6\n"
+
     def test_zero_sum_usage_error(self, capsys):
         code, _, _ = run(capsys, "lorenz", "0,0")
         assert code == 2
@@ -484,7 +488,8 @@ class TestRenderedSteps:
             return []
         seqs = [trace.steps[0].before, *(step.after for step in trace.steps)]
         rules = [step.rule for step in trace.steps]
-        return list(_rendered_steps([_runs(s) for s in seqs], rules, sep))
+        states = [(list(c), list(c.values())) for c in map(Counter, seqs)]
+        return list(_rendered_steps(states, rules, sep))
 
     @given(st.lists(degree_sequences(max_len=60, max_value=150), min_size=1, max_size=5))
     def test_random_non_increasing_sequences(self, seqs):

@@ -215,6 +215,8 @@ class TestIncompleteStar:
             incomplete_star(5, 0)
         with pytest.raises(OutOfRangeError):
             incomplete_star(5, -5)
+        with pytest.raises(OutOfRangeError, match="at least 2 vertices"):
+            incomplete_star(1, -1)
 
     def test_sum_law_negative_side(self):
         for n in range(2, 10):

@@ -50,6 +50,10 @@ class TestEnumeration:
         with pytest.raises(OutOfRangeError):
             enumerate_connected_sequences(99, 0)
 
+    def test_unknown_oracle_rejected(self):
+        with pytest.raises(ValueError, match="oracle must be one of"):
+            enumerate_connected_sequences(5, 1, "bogus")
+
     def test_oracles_agree_small(self):
         for n in range(2, 7):
             for d in range(0, max_added_edges(n) + 1):

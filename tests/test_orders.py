@@ -224,6 +224,10 @@ class TestLorenzMajorized:
         with pytest.raises(ZeroSumError):
             lorenz_majorized(D((0, 0)), D((1, 1)))
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(LengthMismatchError):
+            lorenz_majorized(D((2, 1)), D((1, 1, 1)))
+
     @given(same_length_pairs(max_len=6, max_value=6))
     def test_antisymmetry_up_to_curve_equality(self, pair):
         x, y = pair
@@ -342,13 +346,19 @@ class TestBasicTransfer:
         assert sum(out) == sum(x)
 
     def test_order_violation(self):
-        # raising rank 2 above rank 1 must fail
+        # raising rank 2 above rank 1 must fail, and so must lowering rank 2 below rank 3
         with pytest.raises(OrderViolatedError):
             apply_basic_transfer(D((2, 2, 1)), BasicTransfer(to_rank=2, from_rank=3))
+        with pytest.raises(OrderViolatedError, match="lowering rank 2 would fall below rank 3"):
+            apply_basic_transfer(D((3, 2, 2)), BasicTransfer(to_rank=1, from_rank=2))
 
     def test_underflow(self):
         with pytest.raises(UnderflowError):
             apply_basic_transfer(D((2, 1, 0)), BasicTransfer(to_rank=1, from_rank=3))
+
+    def test_rank_past_the_end_rejected(self):
+        with pytest.raises(IndexOutOfRangeError):
+            apply_basic_transfer(D((2, 1)), BasicTransfer(to_rank=1, from_rank=3))
 
     def test_result_is_canonical_without_resorting(self):
         out = apply_basic_transfer(D((3, 2, 2, 1)), BasicTransfer(to_rank=2, from_rank=4))
