@@ -11,10 +11,11 @@ answer of that method without a certificate is marked `"conclusive":
 false` (text: `inconclusive: no domination witness`) and exits 0.
 Output is line-oriented and stable; informational notes go to stderr so
 stdout can be compared against golden files. Every `--json` record is the
-text of json.dumps with sorted keys; a trace or a graph's edges are spliced
-into it item by item (_emit_spliced). Graphs print from checked neighbor
-lists; no command builds a SimpleGraph. Each command imports the library
-modules it runs when it starts, so building the parser loads none of them.
+text of json.dumps with sorted keys; a trace, a graph's edges or a maximal
+image is spliced into it item by item (_emit_spliced). Graphs print from
+checked neighbor lists; no command builds a SimpleGraph. Each command
+imports the library modules it runs when it starts, so building the parser
+loads none of them.
 """
 
 from __future__ import annotations
@@ -220,8 +221,12 @@ def _cmd_maximal(args) -> int:
     cap = maximal.enumeration_cap(args.oracle, args.max_n)
     if cap > maximal.enumeration_cap(args.oracle):
         _note(args, f"note: enumeration cap overridden to n <= {cap}")
-    if args.json:
-        _emit_json(report.to_dict())
+    if args.json:  # report.to_dict(), with the image spliced in row by row
+        record = {"n": args.n, "d": args.d, "all_sequences": None, "oracle_agreement":
+                  report.oracle_agreement, "maximal": [list(s) for s in report.sorted_maximal()]}
+        names = list(map(str, range(args.n))).__getitem__
+        rows = (f"[{', '.join(map(names, s))}]" for s in report.sorted_all())
+        _emit_spliced(record, "all_sequences", rows)
         return EXIT_OK
     head, body = report.format_text(full=args.full).split("\n", 1)
     _note(args, head)

@@ -23,7 +23,12 @@ ways, the set of degree sequences realized by connected graphs:
   least 2(n-1), a positive graphical sequence has a connected realization,
   so that test IS the operational c-graphicality criterion, and agreement
   of the two oracles validates it against ground truth). The search drops
-  a prefix once its own Erdős–Gallai inequality fails for every tail.
+  a prefix x_1..x_k once its own Erdős–Gallai inequality fails for every
+  tail, until x_{k+1} is capped at k+1; then each non-increasing tail in
+  1..cap with the right sum, built once per (sum, length, cap) in a call,
+  is joined to the prefix and tested. The prunes are relaxed Erdős–Gallai
+  inequalities that cut only branches whose every leaf fails the test, so
+  skipping them past that point admits no sequence the test would reject.
 
 A mismatch raises OracleMismatchError and is always a bug, never a warning.
 On top of the enumeration sit the maximal elements of the prefix-sum order
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import le
+from operator import add, le
 
 from .constructions import _check_range, max_added_edges
 from .errors import (
@@ -120,15 +125,22 @@ def _sequences_by_partitions(n: int, d: int) -> frozenset[DegreeSequence]:
     found: list[DegreeSequence] = []
     acc: list[int] = []
 
+    @lru_cache(maxsize=None)  # one cache per call, so no sweep warms the next
+    def tails(remaining: int, slots: int, cap: int) -> list[list[int]]:
+        # every non-increasing list of slots entries in 1..cap summing to remaining
+        if not slots:
+            return [[]]
+        tops = range(min(cap, remaining - slots + 1), -(-remaining // slots) - 1, -1)
+        return [[v, *t] for v in tops for t in tails(remaining - v, slots - 1, v)]
+
     def extend(k: int, prefix: int, cap: int) -> None:
         # acc holds x_1..x_k, summing to prefix, each entry at most cap; the
         # bounds on x_{k+1} leave room for a tail of entries in 1..x_{k+1}
         remaining = total - prefix
         slots = n - k
-        if slots == 1:
-            seq = DegreeSequence._from_sorted(acc + [remaining])
-            if erdos_gallai_violation(seq) is None:
-                found.append(seq)
+        if cap <= k + 1:  # each tail is built once per key, and each leaf tested
+            seqs = map(DegreeSequence._from_sorted, [acc + t for t in tails(remaining, slots, cap)])
+            found.extend(s for s in seqs if erdos_gallai_violation(s) is None)
             return
         k += 1
         tail = n - k
@@ -293,14 +305,12 @@ def _threshold_sequences(n: int, d: int) -> list[DegreeSequence]:
 
     def extend(rest: int, cap: int) -> None:
         # parts holds distinct parts, decreasing, the next at most cap
-        if not rest:
-            dominating = (n - 1, *parts)
-            found.append(
-                DegreeSequence(
-                    (i if i in dominating else 0) + sum(p > i for p in dominating)
-                    for i in range(n)
-                )
-            )
+        if not rest:  # vertex i: own[i] plus the dominating vertices after it
+            own = [0] * n
+            for p in (n - 1, *parts):
+                own[p] = p
+            after = itertools.accumulate(map(bool, reversed(own)), initial=0)
+            found.append(DegreeSequence(map(add, reversed(own), after)))
             return
         for p in range(min(cap, rest), 0, -1):
             if p * (p + 1) // 2 < rest:

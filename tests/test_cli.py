@@ -23,6 +23,7 @@ from degseq.constructions import (
     clique_fill_sequence,
     hub_fill_sequence,
     incomplete_star,
+    max_added_edges,
 )
 from degseq.graphs import SimpleGraph, degree_sequence, to_dot, to_edge_list_text
 from degseq.maximal import MaximalSetReport, maximal_elements
@@ -363,6 +364,16 @@ class TestMaximal:
         report = MaximalSetReport.from_dict(json.loads(out))
         assert report.n == 5 and report.d == 3
         assert report.oracle_agreement
+
+    @pytest.mark.parametrize(
+        "n, d, oracle",
+        [(n, d, "both") for n in range(2, 7) for d in range(max_added_edges(n) + 1)]
+        + [(9, 16, "partitions"), (11, 30, "partitions"), (12, 8, "partitions")],
+    )
+    def test_json_is_the_records_json_dumps(self, capsys, n, d, oracle):
+        code, out, _ = run(capsys, "maximal", str(n), str(d), "--oracle", oracle, "--json")
+        assert code == 0
+        assert out == json.dumps(maximal_elements(n, d, oracle).to_dict(), sort_keys=True) + "\n"
 
     def test_out_of_caps(self, capsys):
         code, _, err = run(capsys, "maximal", "40", "0")

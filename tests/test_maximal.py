@@ -139,7 +139,7 @@ class TestThresholdSequences:
 
 class TestPartitionsOracle:
     def test_matches_unpruned_reference(self):
-        for n in range(2, 12):
+        for n in range(2, 13):
             for d in range(0, max_added_edges(n) + 1):
                 total = 2 * (n - 1) + 2 * d
                 reference = {
