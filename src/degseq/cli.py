@@ -197,10 +197,10 @@ def _cmd_construct(args) -> int:
     n, d = args.n, args.d
     if d < 0 and args.prime:
         raise DegseqError("the clique-fill family is not defined for d < 0")
-    family = constructions._clique_fill if args.prime else constructions._hub_fill
-    seq, counts = (constructions._incomplete_star if d < 0 else family)(n, d)
+    family = constructions.clique_fill_sequence if args.prime else constructions.hub_fill_sequence
+    seq = (constructions._incomplete_star if d < 0 else family)(n, d)
     # the graph's checked neighbor lists are built only when it is printed
-    up = None if args.emit == "seq" else constructions._lists(seq, counts)
+    up = None if args.emit == "seq" else constructions._lists(seq)
     if args.json:
         payload = {"n": n, "d": d, "prime": bool(args.prime), "sequence": list(seq)}
         if up is not None:

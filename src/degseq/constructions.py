@@ -14,9 +14,12 @@ center 0 and leaves 1..n-1 and both adding exactly d edges among leaves:
 For negative d (degree total below 2(n-1)) the companion object is an
 incomplete star: a star on n+d vertices padded with isolated vertices.
 
-Each graph is built as larger-neighbor lists, vertex u's being range(u+1,
-u+1+k_u), and checked against its closed-form sequence, which lists the
-degrees in vertex order, so formula and graph are compared on every call.
+All three are threshold graphs, each built from its closed-form sequence t
+alone, the degrees in vertex order: vertex u's larger neighbors are u+1..t_u,
+none when t_u <= u (a threshold sequence has one realization up to
+isomorphism; Hammer, Ibaraki & Simeone 1981). Proof: in each family a vertex
+with k_u > 0 larger neighbors is joined to every smaller one, so t_u = u + k_u.
+The lists are checked against t on every call, so a wrong formula raises.
 """
 
 from __future__ import annotations
@@ -56,34 +59,17 @@ def hub_fill_sequence(n: int, d: int) -> DegreeSequence:
     return DegreeSequence([n - 1] * i + [i + j] + [i + 1] * j + [i] * (n - i - j - 1))
 
 
-def _lists(seq: DegreeSequence, counts: list[int]) -> Adjacency:
-    """Vertex u's list range(u+1, u+1+counts[u]), checked against seq."""
-    up = [list(range(u + 1, u + 1 + k)) for u, k in enumerate(counts)]
+def _lists(seq: DegreeSequence) -> Adjacency:
+    """Vertex u's larger neighbors u+1..seq[u], checked against seq: the one
+    realization of a threshold sequence in its own order (see above)."""
+    up = [list(range(u + 1, t + 1)) for u, t in enumerate(seq)]
     _check_realization(seq, up)
     return up
 
 
-def _hub_fill(n: int, d: int) -> tuple[DegreeSequence, list[int]]:
-    """hub_fill_sequence(n, d) and the larger-neighbor count per vertex:
-    n-1 for the center, then each leaf takes the later leaves d has left."""
-    seq, counts = hub_fill_sequence(n, d), [n - 1]
-    for u in range(1, n):
-        counts.append(min(n - 1 - u, d))
-        d -= counts[-1]
-    return seq, counts
-
-
 def build_hub_fill(n: int, d: int) -> SimpleGraph:
     """Star plus d edges: vertex 1 links to leaves 2.., then vertex 2, ..."""
-    return _freeze(_lists(*_hub_fill(n, d)))
-
-
-def _clique_split(n: int, d: int) -> tuple[int, int]:
-    """(m, r): complete graph on leaves 1..m plus r edges from leaf m+1."""
-    m = 1
-    while (m + 1) * m // 2 <= d:
-        m += 1
-    return m, d - m * (m - 1) // 2
+    return _freeze(_lists(hub_fill_sequence(n, d)))
 
 
 def clique_fill_sequence(n: int, d: int) -> DegreeSequence:
@@ -94,30 +80,26 @@ def clique_fill_sequence(n: int, d: int) -> DegreeSequence:
     hub-fill sequence for d <= 2.
     """
     _check_range(n, d)
-    m, r = _clique_split(n, d)
+    m = 1
+    while (m + 1) * m // 2 <= d:
+        m += 1
+    r = d - m * (m - 1) // 2
     vals = [n - 1] + [m + 1] * r + [m] * (m - r) + [1 + r] * (r > 0)
     return DegreeSequence(vals + [1] * (n - len(vals)))
 
 
-def _clique_fill(n: int, d: int) -> tuple[DegreeSequence, list[int]]:
-    """clique_fill_sequence(n, d) and the larger-neighbor count per vertex:
-    leaf u <= m links to leaves u+1..m, and also to m+1 when u <= r."""
-    seq, (m, r) = clique_fill_sequence(n, d), _clique_split(n, d)
-    return seq, [n - 1] + [m - u + (u <= r) for u in range(1, m + 1)] + [0] * (n - 1 - m)
-
-
 def build_clique_fill(n: int, d: int) -> SimpleGraph:
-    return _freeze(_lists(*_clique_fill(n, d)))
+    return _freeze(_lists(clique_fill_sequence(n, d)))
 
 
-def _incomplete_star(n: int, d: int) -> tuple[DegreeSequence, list[int]]:
-    """The sequence of incomplete_star(n, d) and the larger-neighbor counts."""
+def _incomplete_star(n: int, d: int) -> DegreeSequence:
+    """The sequence of incomplete_star(n, d)."""
     if n < 2:
         raise OutOfRangeError(f"need at least 2 vertices, got n={n}")
     if not -(n - 1) <= d <= -1:
         raise OutOfRangeError(f"d={d} outside {-(n - 1)}..-1 for n={n}")
     a = n - 1 + d
-    return DegreeSequence([a] + [1] * a + [0] * (n - a - 1)), [a] + [0] * (n - 1)
+    return DegreeSequence([a] + [1] * a + [0] * (n - a - 1))
 
 
 def incomplete_star(n: int, d: int) -> tuple[DegreeSequence, SimpleGraph]:
@@ -127,5 +109,5 @@ def incomplete_star(n: int, d: int) -> tuple[DegreeSequence, SimpleGraph]:
     star on a+1 vertices plus n-a-1 isolated vertices. a = 0 degenerates to
     the edgeless graph.
     """
-    seq, counts = _incomplete_star(n, d)
-    return seq, _freeze(_lists(seq, counts))
+    seq = _incomplete_star(n, d)
+    return seq, _freeze(_lists(seq))

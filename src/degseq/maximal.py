@@ -279,6 +279,9 @@ def _threshold_sequences(n: int, d: int) -> list[DegreeSequence]:
     The graph is connected iff vertex n-1 dominates, so D = parts | {n-1}
     for a partition of d into distinct parts in 1..n-2.
 
+    In t's order, the positive rows t_u - u are n-1 and then the parts,
+    decreasing, and constructions._lists(t) (u joined to u+1..t_u) realizes t.
+
     Proof sketch that these are exactly the maximal elements of the image
     (the connected n-vertex graphs with n-1+d edges):
 

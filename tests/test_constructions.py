@@ -135,7 +135,7 @@ class TestConstructionEdges:
     def test_first_d_leaf_pairs(self, build, key):
         """The star plus the first d leaf pairs in the family's order:
         lexicographic for the hub fill, larger end first for the clique fill."""
-        for n in range(2, 11):
+        for n in range(2, 31):
             pairs = sorted(combinations(range(1, n), 2), key=key)
             for d in range(0, max_added_edges(n) + 1):
                 assert build(n, d).edges == _star(n) | set(pairs[:d]), (n, d)
@@ -161,6 +161,16 @@ class TestClosedFormIsChecked:
             build(7, 4)
         prime = ["--prime"] if build is build_clique_fill else []
         assert main(["construct", "7", "4", "--emit", "graph", *prime]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_wrong_incomplete_star_raises(self, monkeypatch, capsys):
+        # the right total, 6, in a shape that is not a threshold sequence
+        wrong = (2, 2, 1, 1, 0, 0, 0)
+        assert sum(incomplete_star(7, -3)[0]) == sum(wrong)
+        monkeypatch.setattr(constructions, "_incomplete_star", lambda n, d: D(wrong))
+        with pytest.raises(InternalInconsistencyError, match="wrong degrees"):
+            incomplete_star(7, -3)
+        assert main(["construct", "7", "-3", "--emit", "graph"]) == 3
         assert capsys.readouterr().out == ""
 
 

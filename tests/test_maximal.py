@@ -7,6 +7,7 @@ import pytest
 import degseq.maximal as mx
 import legacy_reference as legacy
 from brute_partitions import partitions
+from degseq import constructions
 from degseq.constructions import (
     clique_fill_sequence,
     hub_fill_sequence,
@@ -135,6 +136,29 @@ class TestThresholdSequences:
             for d, seqs in expected.items():
                 got = mx._threshold_sequences(n, d)
                 assert len(got) == len(seqs) and set(got) == seqs, (n, d)
+
+    def test_realized_by_the_construction_rule(self):
+        # vertex u's larger neighbors are u+1..t_u, so the positive rows
+        # t_u - u are n-1 and then the parts, each partition once
+        for n in range(2, 13):
+            partitions_by_sum = collections.defaultdict(list)
+            for k in range(n - 1):
+                for parts in itertools.combinations(range(n - 2, 0, -1), k):
+                    partitions_by_sum[sum(parts)].append(parts)
+            for d in range(max_added_edges(n) + 1):
+                rows = []
+                for t in mx._threshold_sequences(n, d):
+                    up = constructions._lists(t)
+                    degrees = [0] * n
+                    for u, vs in enumerate(up):
+                        degrees[u] += len(vs)
+                        for v in vs:
+                            degrees[v] += 1
+                    assert degrees == list(t), (n, d, t)
+                    head, *parts = (r for r in (x - u for u, x in enumerate(t)) if r > 0)
+                    assert head == n - 1, (n, d, t)
+                    rows.append(tuple(parts))
+                assert sorted(rows) == sorted(partitions_by_sum[d]), (n, d)
 
 
 class TestPartitionsOracle:
